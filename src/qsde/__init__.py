@@ -5,7 +5,7 @@ Choi/Kraus machinery, two-qubit concurrence trajectories, sudden-death
 criteria, and a Monte Carlo census of the coupling space.
 """
 
-from .census import CensusReport, CouplingSample, make_rng, run_census, sample_coupling
+from .census import CensusReport, run_census
 from .channel import (
     Coupling,
     Dissipative,
@@ -19,10 +19,8 @@ from .channel import (
     family,
     family_appc,
     kraus_flip,
-    rho_to_bloch,
 )
 from .choi import (
-    apply_channel,
     choi_of_channel,
     completeness_residual,
     kraus_of_choi,
@@ -53,10 +51,8 @@ from .pair import (
     lambda_trajectory,
 )
 from .sde import (
-    RotatedState,
     SdeVerdict,
     detect_tau,
-    oracle_rk4,
     predict_dissipative,
     predict_flip,
     rotate_pair,

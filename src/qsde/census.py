@@ -11,77 +11,17 @@ with R, t, t', p, p' drawn uniformly from [0,1], [0,2pi], [0,2pi], [0,pi],
 flip couplings (|u x v| = 0) and amplitude-damping couplings
 (|u x v| = 1/2). Both have lower dimension than the chart, so a continuous
 sampler never hits them; a nonzero count at tolerance 1e-9 is a bug.
-
-Streams use the counter-based Philox generator so that sharded runs
-reproduce the serial draw sequence exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Coupling
+from .channel import AD_TOL, FLIP_TOL
 
-FLIP_TOL = 1e-9
-AD_TOL = 1e-9
 _DRAWS_PER_SAMPLE = 5
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded counter-based generator used for all census draws."""
-    return np.random.Generator(np.random.Philox(seed))
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingSample:
-    """One point of the coupling space with its chart coordinates."""
-
-    r: float
-    theta: float
-    theta_prime: float
-    phi: float
-    phi_prime: float
-    u: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def from_angles(
-        cls, r: float, theta: float, theta_prime: float, phi: float, phi_prime: float
-    ) -> "CouplingSample":
-        u = r * np.array(
-            [
-                math.cos(theta) * math.cos(phi),
-                math.sin(theta) * math.cos(phi),
-                math.sin(phi),
-            ]
-        )
-        s = math.sqrt(max(0.0, 1.0 - r * r))
-        v = s * np.array(
-            [
-                math.cos(theta_prime) * math.cos(phi_prime),
-                math.sin(theta_prime) * math.cos(phi_prime),
-                math.sin(phi_prime),
-            ]
-        )
-        return cls(r, theta, theta_prime, phi, phi_prime, u, v)
-
-    def as_coupling(self, gamma: float = 1.0) -> Coupling:
-        return Coupling(u=self.u, v=self.v, gamma=gamma)
-
-
-def sample_coupling(rng: np.random.Generator) -> CouplingSample:
-    """Draw one coupling uniformly in the chart coordinates (5 draws)."""
-    x = rng.random(_DRAWS_PER_SAMPLE)
-    return CouplingSample.from_angles(
-        r=float(x[0]),
-        theta=float(2.0 * math.pi * x[1]),
-        theta_prime=float(2.0 * math.pi * x[2]),
-        phi=float(math.pi * x[3]),
-        phi_prime=float(math.pi * x[4]),
-    )
 
 
 @dataclass(frozen=True)
@@ -108,7 +48,8 @@ class CensusReport:
         }
 
 
-def _uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map an (n, 5) array of uniform [0, 1) draws through the chart to (u, v) rows."""
     r = x[:, 0]
     theta = 2.0 * np.pi * x[:, 1]
     theta_prime = 2.0 * np.pi * x[:, 2]
@@ -130,57 +71,35 @@ def _uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def count_hits(
+    u: np.ndarray, v: np.ndarray, flip_tol: float = FLIP_TOL, ad_tol: float = AD_TOL
+) -> tuple[int, int, float]:
+    """(flip hits, amplitude-damping hits, min ||u x v| - 1/2|) over (u, v) rows."""
+    w_norm = np.linalg.norm(np.cross(u, v), axis=1)
+    ad_dist = np.abs(w_norm - 0.5)
+    return (
+        int(np.count_nonzero(w_norm <= flip_tol)),
+        int(np.count_nonzero(ad_dist <= ad_tol)),
+        float(ad_dist.min()),
+    )
+
+
 def run_census(
-    n: int,
-    seed: int = 0,
-    flip_tol: float = FLIP_TOL,
-    ad_tol: float = AD_TOL,
-    shards: int = 1,
-    override=None,
+    n: int, seed: int = 0, flip_tol: float = FLIP_TOL, ad_tol: float = AD_TOL
 ) -> CensusReport:
     """Count exempt-surface hits over n chart-uniform samples.
 
-    ``shards`` splits the work into consecutive stream segments (each shard
-    advances the Philox counter to its offset), which reproduces the serial
-    stream exactly; results are merged by summation. ``override`` is a
-    sequence of CouplingSample instances substituted for the first samples,
-    used to calibrate the hit detectors.
+    The draws come from one Philox stream seeded with ``seed``, five per
+    sample, so a run of n samples is a prefix of any longer run.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if shards < 1 or shards > n:
-        raise ValueError("shards must be in [1, n]")
-    override = list(override) if override is not None else []
-    if len(override) > n:
-        raise ValueError("more override samples than requested draws")
-
-    bounds = np.linspace(0, n, shards + 1).astype(int)
-    n_flip = 0
-    n_ad = 0
-    min_ad = math.inf
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        count = int(hi - lo)
-        if count == 0:
-            continue
-        # seek to draw number lo * 5: advance skips whole 4-word counter
-        # blocks, the remainder is discarded draw by draw
-        offset = int(lo) * _DRAWS_PER_SAMPLE
-        bit_gen = np.random.Philox(seed)
-        bit_gen.advance(offset // 4)
-        gen = np.random.Generator(bit_gen)
-        if offset % 4:
-            gen.random(offset % 4)
-        x = gen.random((count, _DRAWS_PER_SAMPLE))
-        u, v = _uv_from_draws(x)
-        for i in range(lo, min(hi, len(override))):
-            u[i - lo] = override[i].u
-            v[i - lo] = override[i].v
-        w_norm = np.linalg.norm(np.cross(u, v), axis=1)
-        ad_dist = np.abs(w_norm - 0.5)
-        n_flip += int(np.count_nonzero(w_norm <= flip_tol))
-        n_ad += int(np.count_nonzero(ad_dist <= ad_tol))
-        min_ad = min(min_ad, float(ad_dist.min()))
-
+    for name, tol in (("flip_tol", flip_tol), ("ad_tol", ad_tol)):
+        if not tol >= 0.0:
+            raise ValueError(f"{name} must be >= 0, got {tol!r}")
+    rng = np.random.Generator(np.random.Philox(seed))
+    u, v = uv_from_draws(rng.random((n, _DRAWS_PER_SAMPLE)))
+    n_flip, n_ad, min_ad = count_hits(u, v, flip_tol, ad_tol)
     return CensusReport(
         n_samples=n,
         n_flip_hits=n_flip,

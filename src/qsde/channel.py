@@ -33,6 +33,9 @@ NORMALIZATION_TOL = 1e-12
 # Below this |u x v| the dissipative formulas divide by ~0 and lose all
 # precision, so the coupling is treated as flip.
 FLIP_TOL = 1e-9
+# Couplings with ||u x v| - 1/2| <= AD_TOL count as standard amplitude
+# damping, where the dissipative sudden-death criterion does not decide.
+AD_TOL = 1e-9
 
 
 def _vector3(value, name: str) -> np.ndarray:
@@ -129,18 +132,6 @@ def classify(coupling: Coupling) -> Flip | Dissipative:
 def bloch_to_rho(r) -> np.ndarray:
     """Density matrix (1 + r . sigma) / 2 of a Bloch vector."""
     return 0.5 * (IDENTITY_2 + dot_sigma(r))
-
-
-def rho_to_bloch(rho) -> np.ndarray:
-    """Bloch vector of a 2x2 density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.array(
-        [
-            2.0 * rho[1, 0].real,
-            2.0 * rho[1, 0].imag,
-            (rho[0, 0] - rho[1, 1]).real,
-        ]
-    )
 
 
 def evolve_flip(r0, u_hat, gamma: float, t: float) -> np.ndarray:

@@ -88,15 +88,6 @@ def kraus_of_choi(choi) -> list[np.ndarray]:
     return [k for k in operators if float(np.max(np.abs(k))) >= KRAUS_DROP_TOL]
 
 
-def apply_channel(kraus: list[np.ndarray], rho) -> np.ndarray:
-    """Operator-sum action sum_i K_i rho K_i^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 def kraus_of_coupling(coupling: Coupling, t: float) -> list[np.ndarray]:
     """Kraus set of the channel at time t.
 

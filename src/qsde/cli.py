@@ -22,7 +22,9 @@ import tempfile
 import numpy as np
 
 from .census import run_census
-from .channel import Coupling, Flip, asymptote, classify, evolve, family, family_appc
+from .channel import (
+    AD_TOL, FLIP_TOL, Coupling, Flip, asymptote, classify, evolve, family, family_appc,
+)
 from .choi import choi_of_channel, completeness_residual, kraus_of_choi
 from .errors import ConfigError, QsdeError
 from .linalg import herm_eig
@@ -73,6 +75,14 @@ def _need_float(cfg: dict, field: str, default=None) -> float:
     if not math.isfinite(out):
         raise ConfigError(field, "value must be finite")
     return out
+
+
+def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> int:
+    value = cfg.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(field or key, f"expected an integer, got {value!r}")
 
 
 def _vec3(value, field: str) -> np.ndarray:
@@ -199,10 +209,7 @@ def _grid_from_spec(spec, field: str, gamma: float) -> np.ndarray:
         raise ConfigError(field, "grid spec must be an object or start:end:points")
     start = _need_float(spec, "start", 0.0)
     end = _need_float(spec, "end")
-    try:
-        points = int(spec.get("points", DEFAULT_GRID_POINTS))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}.points", f"expected an integer, got {spec.get('points')!r}")
+    points = _need_int(spec, "points", DEFAULT_GRID_POINTS, f"{field}.points")
     if start != 0.0:
         raise ConfigError(f"{field}.start", "grid must start at t = 0")
     if points < 1:
@@ -228,13 +235,15 @@ def _times_from_spec(spec, field: str) -> list[float]:
     return times
 
 
-def _resolve(args: argparse.Namespace, flag_keys: dict) -> dict:
+# Namespace attributes that steer the CLI itself rather than a computation.
+_NOT_CONFIG = ("command", "func", "config", "out")
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """The --config file's values, overridden by every flag that was set."""
     cfg = _load_config(args.config) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    for attr, key in flag_keys.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in _NOT_CONFIG and value is not None:
             cfg[key] = value
     return cfg
 
@@ -244,6 +253,18 @@ def _gamma_of(cfg: dict) -> float:
     if gamma <= 0.0:
         raise ConfigError("gamma", "gamma must be positive")
     return gamma
+
+
+def _pair_inputs(cfg: dict) -> tuple[float, Coupling, Coupling, np.ndarray]:
+    """gamma, both couplings and the initial state of a two-qubit run."""
+    gamma = _gamma_of(cfg)
+    c1 = _coupling_from_spec(cfg.get("coupling1"), "coupling1", gamma)
+    c2 = _coupling_from_spec(cfg.get("coupling2"), "coupling2", gamma)
+    return gamma, c1, c2, _state_from_spec(cfg.get("state"), "state")
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +310,11 @@ def geodesic_sphere(subdivisions: int = 3) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands (each returns the full output text)
+# Subcommands (each takes the resolved configuration and returns the full
+# output text)
 
 
-def cmd_evolve(args: argparse.Namespace) -> str:
-    cfg = _resolve(args, {"gamma": "gamma", "coupling": "coupling", "r0": "r0",
-                          "times": "times", "grid": "grid"})
+def cmd_evolve(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
     coupling = _coupling_from_spec(cfg.get("coupling"), "coupling", gamma)
     r0 = _vec3(_parse_floats(cfg["r0"], "r0") if isinstance(cfg.get("r0"), str)
@@ -315,16 +335,11 @@ def cmd_evolve(args: argparse.Namespace) -> str:
         "records": records,
         "asymptote": [float(c) for c in asymptote(coupling, r0)],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload)
 
 
-def cmd_trajectory(args: argparse.Namespace) -> str:
-    cfg = _resolve(args, {"gamma": "gamma", "coupling1": "coupling1",
-                          "coupling2": "coupling2", "state": "state", "grid": "grid"})
-    gamma = _gamma_of(cfg)
-    c1 = _coupling_from_spec(cfg.get("coupling1"), "coupling1", gamma)
-    c2 = _coupling_from_spec(cfg.get("coupling2"), "coupling2", gamma)
-    rho0 = _state_from_spec(cfg.get("state"), "state")
+def cmd_trajectory(cfg: dict) -> str:
+    gamma, c1, c2, rho0 = _pair_inputs(cfg)
     grid = _grid_from_spec(cfg.get("grid"), "grid", gamma)
     rows = lambda_trajectory(rho0, c1, c2, grid)
     lines = ["t,lambda,concurrence"]
@@ -332,20 +347,13 @@ def cmd_trajectory(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sde_check(args: argparse.Namespace) -> str:
-    cfg = _resolve(args, {"gamma": "gamma", "coupling1": "coupling1",
-                          "coupling2": "coupling2", "state": "state", "grid": "grid"})
-    gamma = _gamma_of(cfg)
-    c1 = _coupling_from_spec(cfg.get("coupling1"), "coupling1", gamma)
-    c2 = _coupling_from_spec(cfg.get("coupling2"), "coupling2", gamma)
-    rho0 = _state_from_spec(cfg.get("state"), "state")
+def cmd_sde_check(cfg: dict) -> str:
+    gamma, c1, c2, rho0 = _pair_inputs(cfg)
     grid = _grid_from_spec(cfg.get("grid"), "grid", gamma) if cfg.get("grid") is not None else None
-    verdict = sde_check(rho0, c1, c2, grid=grid)
-    return json.dumps(verdict.to_dict(), indent=2, sort_keys=True) + "\n"
+    return _json(sde_check(rho0, c1, c2, grid=grid).to_dict())
 
 
-def cmd_choi(args: argparse.Namespace) -> str:
-    cfg = _resolve(args, {"gamma": "gamma", "coupling": "coupling", "t": "t"})
+def cmd_choi(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
     coupling = _coupling_from_spec(cfg.get("coupling"), "coupling", gamma)
     t = _need_float(cfg, "t")
@@ -361,29 +369,23 @@ def cmd_choi(args: argparse.Namespace) -> str:
         "kraus": [_complex_pairs(k) for k in kraus],
         "completeness_residual": completeness_residual(kraus),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload)
 
 
-def cmd_census(args: argparse.Namespace) -> str:
-    cfg = _resolve(args, {"n": "n", "seed": "seed"})
-    try:
-        n = int(cfg.get("n"))
-    except (TypeError, ValueError):
-        raise ConfigError("n", f"expected an integer, got {cfg.get('n')!r}")
+def cmd_census(cfg: dict) -> str:
+    n = _need_int(cfg, "n")
     if n < 1:
         raise ConfigError("n", "n must be >= 1")
-    try:
-        seed = int(cfg.get("seed", 0))
-    except (TypeError, ValueError):
-        raise ConfigError("seed", f"expected an integer, got {cfg.get('seed')!r}")
-    flip_tol = _need_float(cfg, "flip_tol", 1e-9)
-    ad_tol = _need_float(cfg, "ad_tol", 1e-9)
-    report = run_census(n, seed=seed, flip_tol=flip_tol, ad_tol=ad_tol)
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    seed = _need_int(cfg, "seed", 0)
+    flip_tol = _need_float(cfg, "flip_tol", FLIP_TOL)
+    ad_tol = _need_float(cfg, "ad_tol", AD_TOL)
+    for field, tol in (("flip_tol", flip_tol), ("ad_tol", ad_tol)):
+        if tol < 0.0:
+            raise ConfigError(field, f"tolerance must be >= 0, got {tol!r}")
+    return _json(run_census(n, seed=seed, flip_tol=flip_tol, ad_tol=ad_tol).to_dict())
 
 
-def cmd_bloch_export(args: argparse.Namespace) -> str:
-    cfg = _resolve(args, {"gamma": "gamma", "coupling": "coupling", "times": "times"})
+def cmd_bloch_export(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
     coupling = _coupling_from_spec(cfg.get("coupling"), "coupling", gamma)
     times = _times_from_spec(cfg.get("times"), "times")
@@ -409,15 +411,48 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qsde-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qsde-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError("out", f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+_COUPLING = ("--coupling", None, "coupling spec")
+_GRID = ("--grid", None, "time grid start:end:points")
+_TIMES = ("--times", None, "comma-separated times")
+_PAIR = (
+    ("--coupling1", None, "coupling spec for qubit 1"),
+    ("--coupling2", None, "coupling spec for qubit 2"),
+    ("--state", None, "plus:alpha_sq | minus:alpha_sq | file:rho.json"),
+    _GRID,
+)
+
+# (name, help, handler, flags as (flag, type, help)), in --help order
+SUBCOMMANDS = (
+    ("evolve", "single-qubit Bloch trajectory (JSON)", cmd_evolve, (
+        ("--coupling", None, "uv:ux,uy,uz;vx,vy,vz | family:theta,phi | appc:theta"),
+        ("--r0", None, "initial Bloch vector x,y,z (default 0,0,1)"),
+        _TIMES,
+        _GRID,
+    )),
+    ("trajectory", "two-qubit lam/concurrence trajectory (CSV)", cmd_trajectory, _PAIR),
+    ("sde-check", "sudden-death verdict (JSON)", cmd_sde_check, _PAIR),
+    ("choi", "Choi matrix and Kraus operators at one time (JSON)", cmd_choi,
+     (_COUPLING, ("--t", float, "evolution time"))),
+    ("census", "coupling-space census (JSON)", cmd_census, (
+        ("--n", int, "number of samples"),
+        ("--seed", int, "RNG seed (default 0)"),
+    )),
+    ("bloch-export", "Bloch-ball image of a sphere mesh (CSV)", cmd_bloch_export,
+     (_COUPLING, _TIMES)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,49 +466,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-qubit entanglement sudden death under Markovian couplings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", parents=[common],
-                       help="single-qubit Bloch trajectory (JSON)")
-    p.add_argument("--coupling", help="uv:ux,uy,uz;vx,vy,vz | family:theta,phi | appc:theta")
-    p.add_argument("--r0", help="initial Bloch vector x,y,z (default 0,0,1)")
-    p.add_argument("--times", help="comma-separated times")
-    p.add_argument("--grid", help="time grid start:end:points")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("trajectory", parents=[common],
-                       help="two-qubit lam/concurrence trajectory (CSV)")
-    p.add_argument("--coupling1", help="coupling spec for qubit 1")
-    p.add_argument("--coupling2", help="coupling spec for qubit 2")
-    p.add_argument("--state", help="plus:alpha_sq | minus:alpha_sq | file:rho.json")
-    p.add_argument("--grid", help="time grid start:end:points")
-    p.set_defaults(func=cmd_trajectory)
-
-    p = sub.add_parser("sde-check", parents=[common],
-                       help="sudden-death verdict (JSON)")
-    p.add_argument("--coupling1", help="coupling spec for qubit 1")
-    p.add_argument("--coupling2", help="coupling spec for qubit 2")
-    p.add_argument("--state", help="plus:alpha_sq | minus:alpha_sq | file:rho.json")
-    p.add_argument("--grid", help="time grid start:end:points")
-    p.set_defaults(func=cmd_sde_check)
-
-    p = sub.add_parser("choi", parents=[common],
-                       help="Choi matrix and Kraus operators at one time (JSON)")
-    p.add_argument("--coupling", help="coupling spec")
-    p.add_argument("--t", type=float, help="evolution time")
-    p.set_defaults(func=cmd_choi)
-
-    p = sub.add_parser("census", parents=[common],
-                       help="coupling-space census (JSON)")
-    p.add_argument("--n", type=int, help="number of samples")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("bloch-export", parents=[common],
-                       help="Bloch-ball image of a sphere mesh (CSV)")
-    p.add_argument("--coupling", help="coupling spec")
-    p.add_argument("--times", help="comma-separated times")
-    p.set_defaults(func=cmd_bloch_export)
-
+    for name, help_text, handler, flags in SUBCOMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, kind, flag_help in flags:
+            p.add_argument(flag, type=kind, help=flag_help)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -482,8 +479,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
-        _emit(text, args.out)
+        _emit(args.func(_resolve(args)), args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Sudden-death-of-entanglement predicates, crossing detection, and the RK4 oracle.
+"""Sudden-death-of-entanglement predicates and crossing detection.
 
 Two closed-form criteria cover the pure regimes:
 
@@ -23,13 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Coupling, Dissipative, Flip, classify
+from .channel import AD_TOL, Coupling, Dissipative, Flip, classify
 from .errors import GridTooCoarse, NotEntangled, WrongClass
 from .linalg import IDENTITY_2
 from .pair import concurrence, default_grid, lambda_at, lambda_trajectory
 
 ZERO_DIAGONAL_TOL = 1e-12
-AD_TOL = 1e-9
 # lam values inside (-CROSSING_FLOOR, CROSSING_FLOOR) count as zero, so only a
 # drop below -CROSSING_FLOOR counts as a genuine sign change. The floor keeps
 # rounding noise on a lam at or near zero from reading as a crossing; it is
@@ -69,14 +68,6 @@ class SdeVerdict:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class RotatedState:
-    """State conjugated into the frame where both flip axes point along z."""
-
-    rho_tilde: np.ndarray
-    unitaries: tuple[np.ndarray, np.ndarray]
-
-
 def rotation_for(u_hat) -> np.ndarray:
     """2x2 unitary U with U sz U^dag = u_hat . sigma; exactly 1 for u_hat = z.
 
@@ -104,13 +95,14 @@ def rotation_for(u_hat) -> np.ndarray:
     )
 
 
-def rotate_pair(rho0, u_hat1, u_hat2) -> RotatedState:
-    """Conjugate a two-qubit state by (U1 (x) U2)^dag with U_n from rotation_for."""
+def rotate_pair(rho0, u_hat1, u_hat2) -> np.ndarray:
+    """Conjugate a two-qubit state by (U1 (x) U2)^dag with U_n from rotation_for.
+
+    The result is the state in the frame where both flip axes point along z.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
-    u1 = rotation_for(u_hat1)
-    u2 = rotation_for(u_hat2)
-    big = np.kron(u1, u2)
-    return RotatedState(rho_tilde=big.conj().T @ rho0 @ big, unitaries=(u1, u2))
+    big = np.kron(rotation_for(u_hat1), rotation_for(u_hat2))
+    return big.conj().T @ rho0 @ big
 
 
 def predict_flip(rho0, u_hat1, u_hat2, zero_tol: float = ZERO_DIAGONAL_TOL) -> SdeVerdict:
@@ -122,8 +114,7 @@ def predict_flip(rho0, u_hat1, u_hat2, zero_tol: float = ZERO_DIAGONAL_TOL) -> S
     ent = concurrence(rho0)
     if ent.concurrence <= 0.0:
         raise NotEntangled("initial state has zero concurrence")
-    rotated = rotate_pair(rho0, u_hat1, u_hat2)
-    diag = np.real(np.diag(rotated.rho_tilde))
+    diag = np.real(np.diag(rotate_pair(rho0, u_hat1, u_hat2)))
     smallest_product = float(min(diag[0] * diag[3], diag[1] * diag[2]))
     lam_inf = -2.0 * math.sqrt(max(smallest_product, 0.0)) + 0.0
     predicted = "yes" if bool(np.all(diag > zero_tol)) else "no"
@@ -208,56 +199,6 @@ def detect_tau(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def oracle_rk4(r0, coupling: Coupling, t_end: float, dt: float) -> np.ndarray:
-    """Integrate dr/dt = 4 gamma {u (u.r) + v (v.r) + 2 w - r} with fixed-step RK4.
-
-    Deliberately independent of the closed-form propagators: plain classical
-    Runge-Kutta on the Bloch equation, global error O(dt^4). Requires
-    dt <= 1e-3 / gamma.
-    """
-    gamma = coupling.gamma
-    if dt > 1e-3 / gamma:
-        raise ValueError("dt must be <= 1e-3 / gamma for the oracle")
-    ux, uy, uz = (float(c) for c in coupling.u)
-    vx, vy, vz = (float(c) for c in coupling.v)
-    wx = uy * vz - uz * vy
-    wy = uz * vx - ux * vz
-    wz = ux * vy - uy * vx
-    g4 = 4.0 * gamma
-    bx, by, bz = 2.0 * g4 * wx, 2.0 * g4 * wy, 2.0 * g4 * wz
-    a00 = g4 * (ux * ux + vx * vx - 1.0)
-    a01 = g4 * (ux * uy + vx * vy)
-    a02 = g4 * (ux * uz + vx * vz)
-    a11 = g4 * (uy * uy + vy * vy - 1.0)
-    a12 = g4 * (uy * uz + vy * vz)
-    a22 = g4 * (uz * uz + vz * vz - 1.0)
-
-    def rhs(px: float, py: float, pz: float):
-        return (
-            a00 * px + a01 * py + a02 * pz + bx,
-            a01 * px + a11 * py + a12 * pz + by,
-            a02 * px + a12 * py + a22 * pz + bz,
-        )
-
-    x, y, z = (float(c) for c in np.asarray(r0, dtype=float))
-    remaining = float(t_end)
-    n = int(round(remaining / dt)) if remaining > 0.0 else 0
-    steps = [dt] * n
-    leftover = remaining - n * dt
-    if abs(leftover) > 1e-15:
-        steps.append(leftover)
-    for h in steps:
-        h2, h6 = 0.5 * h, h / 6.0
-        k1x, k1y, k1z = rhs(x, y, z)
-        k2x, k2y, k2z = rhs(x + h2 * k1x, y + h2 * k1y, z + h2 * k1z)
-        k3x, k3y, k3z = rhs(x + h2 * k2x, y + h2 * k2y, z + h2 * k2z)
-        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z)
-        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
-    return np.array([x, y, z])
 
 
 def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:

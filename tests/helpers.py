@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from qsde import Coupling, bloch_to_rho
-from qsde.census import CouplingSample
+from qsde.census import uv_from_draws
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -33,16 +33,9 @@ def random_dissipative_coupling(
     rng: np.random.Generator, gamma: float = 1.0, min_w: float = 1e-2
 ) -> Coupling:
     while True:
-        x = rng.random(5)
-        s = CouplingSample.from_angles(
-            float(x[0]),
-            float(2.0 * np.pi * x[1]),
-            float(2.0 * np.pi * x[2]),
-            float(np.pi * x[3]),
-            float(np.pi * x[4]),
-        )
-        if float(np.linalg.norm(np.cross(s.u, s.v))) > min_w:
-            return Coupling(u=s.u, v=s.v, gamma=gamma)
+        u, v = uv_from_draws(rng.random((1, 5)))
+        if float(np.linalg.norm(np.cross(u[0], v[0]))) > min_w:
+            return Coupling(u=u[0], v=v[0], gamma=gamma)
 
 
 def random_coupling(rng: np.random.Generator, gamma: float = 1.0) -> Coupling:
@@ -87,3 +80,74 @@ def master_rhs(r: np.ndarray, c: Coupling) -> np.ndarray:
     u, v, g = c.u, c.v, c.gamma
     w = np.cross(u, v)
     return 4.0 * g * (u * float(u @ r) + v * float(v @ r) + 2.0 * w - r)
+
+
+def rho_to_bloch(rho) -> np.ndarray:
+    """Bloch vector of a 2x2 density matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.array(
+        [
+            2.0 * rho[1, 0].real,
+            2.0 * rho[1, 0].imag,
+            (rho[0, 0] - rho[1, 1]).real,
+        ]
+    )
+
+
+def apply_channel(kraus: list[np.ndarray], rho) -> np.ndarray:
+    """Operator-sum action sum_i K_i rho K_i^dag."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def oracle_rk4(r0, coupling: Coupling, t_end: float, dt: float) -> np.ndarray:
+    """Integrate dr/dt = 4 gamma {u (u.r) + v (v.r) + 2 w - r} with fixed-step RK4.
+
+    Deliberately independent of the closed-form propagators: plain classical
+    Runge-Kutta on the Bloch equation, global error O(dt^4). Requires
+    dt <= 1e-3 / gamma.
+    """
+    gamma = coupling.gamma
+    if dt > 1e-3 / gamma:
+        raise ValueError("dt must be <= 1e-3 / gamma for the oracle")
+    ux, uy, uz = (float(c) for c in coupling.u)
+    vx, vy, vz = (float(c) for c in coupling.v)
+    wx = uy * vz - uz * vy
+    wy = uz * vx - ux * vz
+    wz = ux * vy - uy * vx
+    g4 = 4.0 * gamma
+    bx, by, bz = 2.0 * g4 * wx, 2.0 * g4 * wy, 2.0 * g4 * wz
+    a00 = g4 * (ux * ux + vx * vx - 1.0)
+    a01 = g4 * (ux * uy + vx * vy)
+    a02 = g4 * (ux * uz + vx * vz)
+    a11 = g4 * (uy * uy + vy * vy - 1.0)
+    a12 = g4 * (uy * uz + vy * vz)
+    a22 = g4 * (uz * uz + vz * vz - 1.0)
+
+    def rhs(px: float, py: float, pz: float):
+        return (
+            a00 * px + a01 * py + a02 * pz + bx,
+            a01 * px + a11 * py + a12 * pz + by,
+            a02 * px + a12 * py + a22 * pz + bz,
+        )
+
+    x, y, z = (float(c) for c in np.asarray(r0, dtype=float))
+    remaining = float(t_end)
+    n = int(round(remaining / dt)) if remaining > 0.0 else 0
+    steps = [dt] * n
+    leftover = remaining - n * dt
+    if abs(leftover) > 1e-15:
+        steps.append(leftover)
+    for h in steps:
+        h2, h6 = 0.5 * h, h / 6.0
+        k1x, k1y, k1z = rhs(x, y, z)
+        k2x, k2y, k2z = rhs(x + h2 * k1x, y + h2 * k1y, z + h2 * k1z)
+        k3x, k3y, k3z = rhs(x + h2 * k2x, y + h2 * k2y, z + h2 * k2z)
+        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z)
+        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
+    return np.array([x, y, z])

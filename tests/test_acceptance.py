@@ -24,25 +24,27 @@ from qsde import (
     initial_state,
     lambda_at,
     lambda_trajectory,
-    oracle_rk4,
     predict_dissipative,
     predict_flip,
     rotation_for,
     run_census,
 )
-from qsde.channel import Coupling, bloch_to_rho, rho_to_bloch
-from qsde.choi import apply_channel, choi_of_channel, completeness_residual, kraus_of_choi
+from qsde.channel import Coupling, bloch_to_rho
+from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
 
 from helpers import (
+    apply_channel,
     master_rhs,
+    oracle_rk4,
     random_bloch,
     random_density2,
     random_dissipative_coupling,
     random_flip_coupling,
     random_pure_pair,
     random_unit,
+    rho_to_bloch,
 )
 
 AD = family_appc(-math.pi / 4)

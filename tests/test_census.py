@@ -1,57 +1,58 @@
 import math
 
 import numpy as np
+import pytest
 
-from qsde.census import (
-    CouplingSample,
-    make_rng,
-    run_census,
-    sample_coupling,
-)
+from qsde.census import count_hits, run_census, uv_from_draws
+
+
+def draws(seed, n):
+    return np.random.Generator(np.random.Philox(seed)).random((n, 5))
 
 
 def test_sample_normalization_invariant():
-    rng = make_rng(123)
-    for _ in range(200):
-        s = sample_coupling(rng)
-        assert abs(float(s.u @ s.u + s.v @ s.v) - 1.0) <= 1e-12
+    u, v = uv_from_draws(draws(123, 200))
+    norm2 = np.sum(u * u, axis=1) + np.sum(v * v, axis=1)
+    assert np.max(np.abs(norm2 - 1.0)) <= 1e-12
 
 
 def test_sample_stream_is_reproducible():
-    a = sample_coupling(make_rng(42))
-    b = sample_coupling(make_rng(42))
-    assert a.r == b.r and a.theta == b.theta and a.phi_prime == b.phi_prime
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+    u1, v1 = uv_from_draws(draws(42, 50))
+    u2, v2 = uv_from_draws(draws(42, 50))
+    assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
 
 
 def test_run_census_first_sample_matches_scalar_draws():
     report = run_census(1, seed=42)
-    s = sample_coupling(make_rng(42))
-    w = float(np.linalg.norm(np.cross(s.u, s.v)))
-    assert report.min_distance_to_ad == abs(w - 0.5)
+    n_flip, n_ad, min_ad = count_hits(*uv_from_draws(draws(42, 1)))
+    assert (report.n_flip_hits, report.n_ad_hits) == (n_flip, n_ad)
+    assert report.min_distance_to_ad == min_ad
 
 
 def test_boundary_r_gives_flip_sample():
-    s = CouplingSample.from_angles(1.0, 0.7, 1.1, 0.4, 2.0)
-    assert np.array_equal(s.v, np.zeros(3))
-    assert float(np.linalg.norm(np.cross(s.u, s.v))) == 0.0
+    u, v = uv_from_draws(np.array([[1.0, 0.11, 0.18, 0.13, 0.64]]))
+    assert np.array_equal(v, np.zeros((1, 3)))
+    assert float(np.linalg.norm(np.cross(u, v))) == 0.0
 
 
 def test_injected_amplitude_damping_sample_is_counted():
-    # calibration of the detector: force the first sample onto the
-    # amplitude-damping surface (theta = -pi/4 coupling, representable as
-    # r = 1/sqrt(2), theta = 0, theta' = 3 pi / 2, phi = phi' = 0)
-    ad = CouplingSample.from_angles(1.0 / math.sqrt(2.0), 0.0, 1.5 * math.pi, 0.0, 0.0)
-    assert abs(float(np.linalg.norm(np.cross(ad.u, ad.v))) - 0.5) <= 1e-15
-    report = run_census(1, seed=0, override=[ad])
-    assert report.n_ad_hits == 1
-    assert report.n_flip_hits == 0
+    # calibration of the detector: a sample on the amplitude-damping surface
+    # (theta = -pi/4 coupling, charted as r = 1/sqrt(2), theta = 0,
+    # theta' = 3 pi / 2, phi = phi' = 0)
+    u, v = uv_from_draws(np.array([[1.0 / math.sqrt(2.0), 0.0, 0.75, 0.0, 0.0]]))
+    assert abs(float(np.linalg.norm(np.cross(u[0], v[0]))) - 0.5) <= 1e-15
+    n_flip, n_ad, min_ad = count_hits(u, v)
+    assert n_ad == 1
+    assert n_flip == 0
+    assert min_ad <= 1e-15
 
 
 def test_injected_flip_sample_is_counted():
-    flip = CouplingSample.from_angles(1.0, 0.3, 0.9, 1.2, 0.5)
-    report = run_census(3, seed=7, override=[flip])
-    assert report.n_flip_hits == 1
+    # r = 1 in the first of three random samples puts it on the flip surface
+    x = draws(7, 3)
+    x[0, 0] = 1.0
+    n_flip, _, _ = count_hits(*uv_from_draws(x))
+    assert n_flip == 1
 
 
 def test_census_deterministic_and_clean_at_ten_thousand():
@@ -73,12 +74,6 @@ def test_census_min_distance_shrinks_with_prefix_property():
     assert large.min_distance_to_ad <= small.min_distance_to_ad
 
 
-def test_census_sharding_reproduces_serial_stream():
-    serial = run_census(5_000, seed=99, shards=1)
-    sharded = run_census(5_000, seed=99, shards=7)
-    assert serial == sharded
-
-
 def test_report_dict_round_trip():
     report = run_census(10, seed=1)
     d = report.to_dict()
@@ -92,3 +87,9 @@ def test_report_dict_round_trip():
         "min_distance_to_ad",
         "seed",
     }
+
+
+@pytest.mark.parametrize("field", ["flip_tol", "ad_tol"])
+def test_run_census_rejects_negative_tolerance(field):
+    with pytest.raises(ValueError, match=field):
+        run_census(10, seed=1, **{field: -1.0})

@@ -16,18 +16,18 @@ from qsde import (
     family,
     family_appc,
     kraus_flip,
-    oracle_rk4,
-    rho_to_bloch,
 )
-from qsde.choi import apply_channel
 from qsde.errors import DegenerateCoupling, NotDissipative
 
 from helpers import (
+    apply_channel,
     master_rhs,
+    oracle_rk4,
     random_bloch,
     random_coupling,
     random_dissipative_coupling,
     random_unit,
+    rho_to_bloch,
 )
 
 X = np.array([1.0, 0.0, 0.0])

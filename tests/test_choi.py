@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qsde import (
-    bloch_to_rho,
-    evolve,
-    family_appc,
-    rho_to_bloch,
-)
+from qsde import bloch_to_rho, evolve, family_appc
 from qsde.choi import (
-    apply_channel,
     choi_of_channel,
     completeness_residual,
     kraus_of_choi,
@@ -20,7 +14,7 @@ from qsde.choi import (
 from qsde.errors import NotPSD
 from qsde.linalg import IDENTITY_2, herm_eig
 
-from helpers import random_coupling, random_density2
+from helpers import apply_channel, random_coupling, random_density2, rho_to_bloch
 
 AXIAL = [np.array(p, dtype=float) for p in
          [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]

@@ -131,6 +131,22 @@ def test_no_partial_file_on_failure(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # no temp litter either
 
 
+def test_out_in_missing_directory_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run_cli(["census", "--n", "10", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: out: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_naming_a_directory_is_config_error(tmp_path, capsys):
+    code, _, err = run_cli(["census", "--n", "10", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: out: ")
+    assert list(tmp_path.iterdir()) == []  # the temp file is removed
+
+
 # ---------------------------------------------------------------------------
 # sde-check
 
@@ -227,6 +243,26 @@ def test_census_requires_positive_n(capsys):
     code, _, err = run_cli(["census", "--n", "0"], capsys)
     assert code == 2
     assert "n" in err
+
+
+def test_census_negative_tolerance_is_config_error(tmp_path, capsys):
+    for field in ("flip_tol", "ad_tol"):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({"n": 10, field: -1}))
+        code, stdout, err = run_cli(["census", "--config", str(path)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {field}: ")
+
+
+def test_census_overflowing_integer_is_config_error(tmp_path, capsys):
+    # JSON 1e400 parses to inf, which int() rejects with OverflowError
+    for payload, field in (('{"n": 1e400}', "n"), ('{"n": 10, "seed": 1e400}', "seed")):
+        path = tmp_path / "run.json"
+        path.write_text(payload)
+        code, _, err = run_cli(["census", "--config", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {field}: expected an integer")
 
 
 # ---------------------------------------------------------------------------

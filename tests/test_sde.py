@@ -11,7 +11,6 @@ from qsde import (
     initial_state,
     lambda_at,
     lambda_trajectory,
-    oracle_rk4,
     predict_dissipative,
     predict_flip,
     rotate_pair,
@@ -22,6 +21,7 @@ from qsde.errors import GridTooCoarse, NotEntangled, WrongClass
 from qsde.linalg import SIGMA_Z, dot_sigma
 
 from helpers import (
+    oracle_rk4,
     random_bloch,
     random_coupling,
     random_dissipative_coupling,
@@ -101,8 +101,7 @@ def test_flip_criterion_mismatched_axes_from_rotated_diagonal():
     # Bell state with axes x and z: the rotated diagonal is strictly
     # positive, so sudden death must occur; cross-check numerically
     rho = initial_state("plus", 0.5)
-    rotated = rotate_pair(rho, X, Z)
-    diag = np.real(np.diag(rotated.rho_tilde))
+    diag = np.real(np.diag(rotate_pair(rho, X, Z)))
     assert np.all(diag > 1e-12)
     verdict = predict_flip(rho, X, Z)
     assert verdict.predicted == "yes"
@@ -121,11 +120,11 @@ def test_rotated_state_unitaries_satisfy_defining_property():
     rng = np.random.default_rng(9)
     rho, _ = random_pure_pair(rng)
     a1, a2 = random_unit(rng), random_unit(rng)
-    rotated = rotate_pair(rho, a1, a2)
-    for u, axis in zip(rotated.unitaries, (a1, a2)):
+    unitaries = (rotation_for(a1), rotation_for(a2))
+    for u, axis in zip(unitaries, (a1, a2)):
         assert np.max(np.abs(u @ SIGMA_Z @ u.conj().T - dot_sigma(axis))) <= 1e-10
-    big = np.kron(*rotated.unitaries)
-    assert np.max(np.abs(big @ rotated.rho_tilde @ big.conj().T - rho)) <= 1e-12
+    big = np.kron(*unitaries)
+    assert np.max(np.abs(big @ rotate_pair(rho, a1, a2) @ big.conj().T - rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(12))
