@@ -15,7 +15,7 @@ sampler never hits them; a nonzero count at tolerance 1e-9 is a bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,15 +37,7 @@ class CensusReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "n_flip_hits": self.n_flip_hits,
-            "n_ad_hits": self.n_ad_hits,
-            "flip_tolerance": self.flip_tolerance,
-            "ad_tolerance": self.ad_tolerance,
-            "min_distance_to_ad": self.min_distance_to_ad,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +86,8 @@ def run_census(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     for name, tol in (("flip_tol", flip_tol), ("ad_tol", ad_tol)):
         if not tol >= 0.0:
             raise ValueError(f"{name} must be >= 0, got {tol!r}")

@@ -22,7 +22,8 @@ the dynamics into two closed-form regimes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,28 @@ class Coupling:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "gamma", float(self.gamma))
 
+    @cached_property
+    def regime(self) -> Flip | Dissipative:
+        """Flip frame if |u x v| <= FLIP_TOL, else Dissipative; derived on first use and kept."""
+        u, v = self.u, self.v
+        norm_u = float(np.linalg.norm(u))
+        norm_v = float(np.linalg.norm(v))
+        w = np.cross(u, v)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w <= FLIP_TOL:
+            axis = u / norm_u if norm_u >= FLIP_TOL else v / norm_v
+            return Flip(u_hat=_vector3(axis, "u_hat"))
+        chi = 0.5 * (norm_u**2 - norm_v**2)
+        q = math.hypot(chi, float(u @ v))
+        return Dissipative(
+            u=u,
+            v=v,
+            w=_vector3(w, "w"),
+            w_hat=_vector3(w / norm_w, "w_hat"),
+            chi=chi,
+            q=q,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class Flip:
@@ -90,7 +113,8 @@ class Dissipative:
     """Dissipative coupling: u, v independent, with the derived frame data.
 
     w = u x v, chi = (|u|^2 - |v|^2) / 2 and q = sqrt(chi^2 + (u.v)^2)
-    control the transverse decay rates 2 gamma (1 -+ 2 q).
+    control the transverse decay rates 2 gamma (1 -+ 2 q). v x w and w x u,
+    which project r onto u and v, are derived here once.
     """
 
     u: np.ndarray
@@ -99,34 +123,17 @@ class Dissipative:
     w_hat: np.ndarray
     chi: float
     q: float
+    v_cross_w: np.ndarray = field(init=False)
+    w_cross_u: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "v_cross_w", np.cross(self.v, self.w))
+        object.__setattr__(self, "w_cross_u", np.cross(self.w, self.u))
 
 
 def classify(coupling: Coupling) -> Flip | Dissipative:
-    """Split a coupling into its flip or dissipative regime.
-
-    Couplings with |u x v| <= 1e-9 are flip; the axis is u normalized, or
-    v normalized when u vanishes.
-    """
-    u, v = coupling.u, coupling.v
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
-    if norm_u < FLIP_TOL and norm_v < FLIP_TOL:
-        raise DegenerateCoupling("u and v are both zero vectors")
-    w = np.cross(u, v)
-    norm_w = float(np.linalg.norm(w))
-    if norm_w <= FLIP_TOL:
-        axis = u / norm_u if norm_u >= FLIP_TOL else v / norm_v
-        return Flip(u_hat=_vector3(axis, "u_hat"))
-    chi = 0.5 * (norm_u**2 - norm_v**2)
-    q = math.hypot(chi, float(u @ v))
-    return Dissipative(
-        u=u,
-        v=v,
-        w=_vector3(w, "w"),
-        w_hat=_vector3(w / norm_w, "w_hat"),
-        chi=chi,
-        q=q,
-    )
+    """The coupling's flip or dissipative frame (see Coupling.regime)."""
+    return coupling.regime
 
 
 def bloch_to_rho(r) -> np.ndarray:
@@ -173,8 +180,8 @@ def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarr
     wn2 = float(w @ w)
     if math.sqrt(wn2) < FLIP_TOL:
         raise NotDissipative("|u x v| ~ 0; use the flip-regime propagator")
-    f0 = float(np.cross(v, w) @ r0) / wn2
-    g0 = float(np.cross(w, u) @ r0) / wn2
+    f0 = float(dis.v_cross_w @ r0) / wn2
+    g0 = float(dis.w_cross_u @ r0) / wn2
     h = 2.0 - (2.0 - float(r0 @ w) / wn2) * math.exp(-4.0 * gamma * t)
 
     q, chi, uv = dis.q, dis.chi, float(u @ v)

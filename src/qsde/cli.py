@@ -28,15 +28,12 @@ from .channel import (
 from .choi import choi_of_channel, completeness_residual, kraus_of_choi
 from .errors import ConfigError, QsdeError
 from .linalg import herm_eig
-from .pair import initial_state, lambda_trajectory
+from .pair import DEFAULT_GRID_POINTS, default_grid, initial_state, lambda_trajectory
 from .sde import sde_check
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
-
-DEFAULT_GRID_SPAN = 10.0
-DEFAULT_GRID_POINTS = 400
 
 
 def _fmt(x: float) -> str:
@@ -69,6 +66,8 @@ def _need_float(cfg: dict, field: str, default=None) -> float:
     if value is None:
         raise ConfigError(field, "required value is missing")
     try:
+        if isinstance(value, bool):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(field, f"expected a number, got {value!r}")
@@ -80,6 +79,8 @@ def _need_float(cfg: dict, field: str, default=None) -> float:
 def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> int:
     value = cfg.get(key, default)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(field or key, f"expected an integer, got {value!r}")
@@ -199,7 +200,7 @@ def _state_from_file(path: str, field: str) -> np.ndarray:
 
 def _grid_from_spec(spec, field: str, gamma: float) -> np.ndarray:
     if spec is None:
-        spec = {"start": 0.0, "end": DEFAULT_GRID_SPAN / gamma, "points": DEFAULT_GRID_POINTS}
+        return default_grid(gamma)
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -258,8 +259,9 @@ def _gamma_of(cfg: dict) -> float:
 def _pair_inputs(cfg: dict) -> tuple[float, Coupling, Coupling, np.ndarray]:
     """gamma, both couplings and the initial state of a two-qubit run."""
     gamma = _gamma_of(cfg)
-    c1 = _coupling_from_spec(cfg.get("coupling1"), "coupling1", gamma)
-    c2 = _coupling_from_spec(cfg.get("coupling2"), "coupling2", gamma)
+    spec1, spec2 = cfg.get("coupling1"), cfg.get("coupling2")
+    c1 = _coupling_from_spec(spec1, "coupling1", gamma)
+    c2 = c1 if spec2 == spec1 else _coupling_from_spec(spec2, "coupling2", gamma)
     return gamma, c1, c2, _state_from_spec(cfg.get("state"), "state")
 
 
@@ -349,7 +351,7 @@ def cmd_trajectory(cfg: dict) -> str:
 
 def cmd_sde_check(cfg: dict) -> str:
     gamma, c1, c2, rho0 = _pair_inputs(cfg)
-    grid = _grid_from_spec(cfg.get("grid"), "grid", gamma) if cfg.get("grid") is not None else None
+    grid = _grid_from_spec(cfg.get("grid"), "grid", gamma)
     return _json(sde_check(rho0, c1, c2, grid=grid).to_dict())
 
 
@@ -377,6 +379,8 @@ def cmd_census(cfg: dict) -> str:
     if n < 1:
         raise ConfigError("n", "n must be >= 1")
     seed = _need_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
     flip_tol = _need_float(cfg, "flip_tol", FLIP_TOL)
     ad_tol = _need_float(cfg, "ad_tol", AD_TOL)
     for field, tol in (("flip_tol", flip_tol), ("ad_tol", ad_tol)):
@@ -414,6 +418,10 @@ def _emit(text: str, out_path: str | None) -> None:
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qsde-", suffix=".tmp")
+        # mkstemp makes the file 0600; give it open()'s mode (the umask is read by setting it)
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
@@ -424,10 +432,12 @@ def _emit(text: str, out_path: str | None) -> None:
             os.unlink(tmp)
 
 
+_GAMMA = ("--gamma", float, "decay rate (default 1)")
 _COUPLING = ("--coupling", None, "coupling spec")
 _GRID = ("--grid", None, "time grid start:end:points")
 _TIMES = ("--times", None, "comma-separated times")
 _PAIR = (
+    _GAMMA,
     ("--coupling1", None, "coupling spec for qubit 1"),
     ("--coupling2", None, "coupling spec for qubit 2"),
     ("--state", None, "plus:alpha_sq | minus:alpha_sq | file:rho.json"),
@@ -437,6 +447,7 @@ _PAIR = (
 # (name, help, handler, flags as (flag, type, help)), in --help order
 SUBCOMMANDS = (
     ("evolve", "single-qubit Bloch trajectory (JSON)", cmd_evolve, (
+        _GAMMA,
         ("--coupling", None, "uv:ux,uy,uz;vx,vy,vz | family:theta,phi | appc:theta"),
         ("--r0", None, "initial Bloch vector x,y,z (default 0,0,1)"),
         _TIMES,
@@ -445,13 +456,13 @@ SUBCOMMANDS = (
     ("trajectory", "two-qubit lam/concurrence trajectory (CSV)", cmd_trajectory, _PAIR),
     ("sde-check", "sudden-death verdict (JSON)", cmd_sde_check, _PAIR),
     ("choi", "Choi matrix and Kraus operators at one time (JSON)", cmd_choi,
-     (_COUPLING, ("--t", float, "evolution time"))),
+     (_GAMMA, _COUPLING, ("--t", float, "evolution time"))),
     ("census", "coupling-space census (JSON)", cmd_census, (
         ("--n", int, "number of samples"),
         ("--seed", int, "RNG seed (default 0)"),
     )),
     ("bloch-export", "Bloch-ball image of a sphere mesh (CSV)", cmd_bloch_export,
-     (_COUPLING, _TIMES)),
+     (_GAMMA, _COUPLING, _TIMES)),
 )
 
 
@@ -459,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration (flags override it)")
     common.add_argument("--out", help="output file (default: stdout)")
-    common.add_argument("--gamma", type=float, help="decay rate (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="qsde",

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Coupling
-from .choi import kraus_of_coupling
+from .choi import completeness_residual, kraus_of_coupling
 from .errors import IncompleteKraus, InvalidWeight, NotHermitian
 from .linalg import RELATIVE_SPECTRAL_ZERO, SIGMA_Y, herm_eig, sqrt_psd
 
 DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
+DEFAULT_GRID_SPAN = 10.0
+DEFAULT_GRID_POINTS = 400
 
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
@@ -73,8 +75,7 @@ def evolve_pair(rho0, kraus1, kraus2) -> np.ndarray:
     rho0 = np.asarray(rho0, dtype=complex)
     _check_density4(rho0)
     for n, kraus in ((1, kraus1), (2, kraus2)):
-        acc = sum(k.conj().T @ k for k in kraus)
-        err = float(np.max(np.abs(acc - np.eye(2))))
+        err = completeness_residual(kraus)
         if err > COMPLETENESS_TOL:
             raise IncompleteKraus(
                 f"Kraus set {n}: |sum K^dag K - 1| = {err:.3e}"
@@ -82,7 +83,8 @@ def evolve_pair(rho0, kraus1, kraus2) -> np.ndarray:
     out = np.zeros((4, 4), dtype=complex)
     for k1 in kraus1:
         for k2 in kraus2:
-            k = np.kron(k1, k2)
+            # np.kron(k1, k2) by the same products, without its per-call overhead
+            k = (k1[:, None, :, None] * k2[None, :, None, :]).reshape(4, 4)
             out += k @ rho0 @ k.conj().T
     return out
 
@@ -119,14 +121,16 @@ def concurrence(rho) -> ConcurrenceResult:
 
 
 def lambda_at(rho0, c1: Coupling, c2: Coupling, t: float) -> float:
-    """lam of the pair state at a single time under independent couplings."""
-    evolved = evolve_pair(rho0, kraus_of_coupling(c1, t), kraus_of_coupling(c2, t))
+    """lam of the pair state at time t; one Coupling given for both qubits is built once."""
+    kraus1 = kraus_of_coupling(c1, t)
+    kraus2 = kraus1 if c2 is c1 else kraus_of_coupling(c2, t)
+    evolved = evolve_pair(rho0, kraus1, kraus2)
     return concurrence(evolved).lam
 
 
-def default_grid(gamma: float = 1.0, span: float = 10.0, points: int = 400) -> np.ndarray:
-    """Uniform time grid covering gamma*t in [0, span]."""
-    return np.linspace(0.0, span / gamma, points)
+def default_grid(gamma: float = 1.0) -> np.ndarray:
+    """Uniform time grid of DEFAULT_GRID_POINTS covering gamma*t in [0, DEFAULT_GRID_SPAN]."""
+    return np.linspace(0.0, DEFAULT_GRID_SPAN / gamma, DEFAULT_GRID_POINTS)
 
 
 def lambda_trajectory(rho0, c1: Coupling, c2: Coupling, grid) -> list[tuple[float, float, float]]:
@@ -141,9 +145,6 @@ def lambda_trajectory(rho0, c1: Coupling, c2: Coupling, grid) -> list[tuple[floa
     rho0 = np.asarray(rho0, dtype=complex)
     records = []
     for t in grid:
-        evolved = evolve_pair(
-            rho0, kraus_of_coupling(c1, t), kraus_of_coupling(c2, t)
-        )
-        res = concurrence(evolved)
-        records.append((float(t), res.lam, res.concurrence))
+        lam = lambda_at(rho0, c1, c2, t)
+        records.append((float(t), lam, max(0.0, lam)))
     return records

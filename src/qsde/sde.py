@@ -19,7 +19,7 @@ trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ ZERO_DIAGONAL_TOL = 1e-12
 # lam is not meaningful (the weight-0.8 parallel state under double damping
 # reads +2.0e-14 at gamma*t ~ 7.92, where the closed form gives -1.4e-14).
 CROSSING_FLOOR = 1e-9
+GAP_TOL = 0.5
+TAU_TOL = 1e-9
 
 METHOD_FLIP = "flip-criterion"
 METHOD_DISSIPATIVE = "dissipative-criterion"
@@ -60,12 +62,7 @@ class SdeVerdict:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "predicted": self.predicted,
-            "lambda_inf": self.lambda_inf,
-            "tau": self.tau,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def rotation_for(u_hat) -> np.ndarray:
@@ -105,11 +102,11 @@ def rotate_pair(rho0, u_hat1, u_hat2) -> np.ndarray:
     return big.conj().T @ rho0 @ big
 
 
-def predict_flip(rho0, u_hat1, u_hat2, zero_tol: float = ZERO_DIAGONAL_TOL) -> SdeVerdict:
+def predict_flip(rho0, u_hat1, u_hat2) -> SdeVerdict:
     """Necessary-and-sufficient sudden-death verdict for two flip couplings.
 
     Requires an entangled rho0. The answer is yes exactly when the rotated
-    state has all four diagonal entries above ``zero_tol``.
+    state has all four diagonal entries above ZERO_DIAGONAL_TOL.
     """
     ent = concurrence(rho0)
     if ent.concurrence <= 0.0:
@@ -117,14 +114,14 @@ def predict_flip(rho0, u_hat1, u_hat2, zero_tol: float = ZERO_DIAGONAL_TOL) -> S
     diag = np.real(np.diag(rotate_pair(rho0, u_hat1, u_hat2)))
     smallest_product = float(min(diag[0] * diag[3], diag[1] * diag[2]))
     lam_inf = -2.0 * math.sqrt(max(smallest_product, 0.0)) + 0.0
-    predicted = "yes" if bool(np.all(diag > zero_tol)) else "no"
+    predicted = "yes" if bool(np.all(diag > ZERO_DIAGONAL_TOL)) else "no"
     return SdeVerdict(predicted, lam_inf, None, METHOD_FLIP)
 
 
-def predict_dissipative(c1: Coupling, c2: Coupling, ad_tol: float = AD_TOL) -> SdeVerdict:
+def predict_dissipative(c1: Coupling, c2: Coupling) -> SdeVerdict:
     """Sufficient sudden-death verdict for two dissipative couplings.
 
-    Yes whenever both |u x v| differ from 1/2 by more than ``ad_tol``; this
+    Yes whenever both |u x v| differ from 1/2 by more than AD_TOL; this
     holds for every entangled initial state. If either qubit sits on the
     amplitude-damping surface |w| = 1/2 the criterion does not decide and
     the verdict is "not-covered".
@@ -135,7 +132,7 @@ def predict_dissipative(c1: Coupling, c2: Coupling, ad_tol: float = AD_TOL) -> S
         if not isinstance(cls, Dissipative):
             raise WrongClass(f"coupling {n} is not dissipative")
         magnitudes.append(float(np.linalg.norm(cls.w)))
-    covered = all(abs(m - 0.5) > ad_tol for m in magnitudes)
+    covered = all(abs(m - 0.5) > AD_TOL for m in magnitudes)
     product = 1.0
     for m in magnitudes:
         product *= max(0.0, 1.0 - 4.0 * m * m)
@@ -143,24 +140,18 @@ def predict_dissipative(c1: Coupling, c2: Coupling, ad_tol: float = AD_TOL) -> S
     return SdeVerdict("yes" if covered else "not-covered", lam_inf, None, METHOD_DISSIPATIVE)
 
 
-def detect_tau(
-    traj,
-    lambda_of_t=None,
-    lambda_inf: float | None = None,
-    gap_tol: float = 0.5,
-    t_tol: float = 1e-9,
-) -> float | None:
+def detect_tau(traj, lambda_of_t, lambda_inf: float | None = None) -> float | None:
     """Locate the first time lam(t) crosses zero on a trajectory.
 
     ``traj`` is a sequence of (t, lam, ...) records with lam(0) > 0. A
     crossing is registered when lam drops below -1e-9 (values inside the
-    noise band around zero do not count). The bracket is then refined by
-    bisection on ``lambda_of_t``, recomputed from the exact channel at each
-    candidate time; without a callable the bracket is interpolated linearly.
+    noise band around zero do not count). The bracket is then refined to
+    TAU_TOL by bisection on ``lambda_of_t``, recomputed from the exact
+    channel at each candidate time.
 
     Returns None when lam stays positive on the whole grid and the supplied
     lambda_inf (if any) is >= -1e-9. Raises GridTooCoarse when the bracket
-    spans more than ``gap_tol`` in time, or when the grid ends before a
+    spans more than GAP_TOL in time, or when the grid ends before a
     crossing that lambda_inf < -1e-9 guarantees.
     """
     times = [float(row[0]) for row in traj]
@@ -182,17 +173,14 @@ def detect_tau(
         pos -= 1
     if lams[pos] <= 0.0:
         raise GridTooCoarse("no clearly positive point precedes the crossing")
-    if times[neg] - times[pos] > gap_tol:
+    if times[neg] - times[pos] > GAP_TOL:
         raise GridTooCoarse(
             f"sign change straddles a gap of {times[neg] - times[pos]:.3g} "
-            f"(> {gap_tol:g}) in time"
+            f"(> {GAP_TOL:g}) in time"
         )
 
     lo, hi = times[pos], times[neg]
-    if lambda_of_t is None:
-        frac = lams[pos] / (lams[pos] - lams[neg])
-        return lo + frac * (hi - lo)
-    while hi - lo > t_tol:
+    while hi - lo > TAU_TOL:
         mid = 0.5 * (lo + hi)
         if lambda_of_t(mid) > 0.0:
             lo = mid

@@ -93,3 +93,8 @@ def test_report_dict_round_trip():
 def test_run_census_rejects_negative_tolerance(field):
     with pytest.raises(ValueError, match=field):
         run_census(10, seed=1, **{field: -1.0})
+
+
+def test_run_census_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        run_census(10, seed=-1)

@@ -64,6 +64,11 @@ def test_classify_absorption_coupling_is_dissipative():
     assert np.allclose(cls.w, [0.0, 0.0, 0.5], atol=1e-15)
 
 
+def test_classify_derives_the_regime_once():
+    for c in (family_appc(0.3), Coupling(u=X, v=np.zeros(3))):
+        assert classify(c) is classify(c)
+
+
 def test_classify_parallel_vectors_is_flip():
     cls = classify(Coupling(u=0.6 * X, v=0.8 * X))
     assert isinstance(cls, Flip)

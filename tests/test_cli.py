@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
+import pytest
 
 from qsde.cli import geodesic_sphere, main
 
@@ -140,6 +143,17 @@ def test_out_in_missing_directory_is_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_out_file_gets_the_umask_mode(tmp_path, capsys):
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / f"census-{umask:o}.json"
+        previous = os.umask(umask)
+        try:
+            assert main(["census", "--n", "10", "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
 def test_out_naming_a_directory_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(["census", "--n", "10", "--out", str(tmp_path)], capsys)
     assert code == 2
@@ -263,6 +277,52 @@ def test_census_overflowing_integer_is_config_error(tmp_path, capsys):
         code, _, err = run_cli(["census", "--config", str(path)], capsys)
         assert code == 2
         assert err.startswith(f"error: {field}: expected an integer")
+
+
+@pytest.mark.parametrize(
+    "command, payload, field, expected",
+    [
+        ("census", {"n": 2.7}, "n", "expected an integer, got 2.7"),
+        ("census", {"n": 10, "seed": 1.9}, "seed", "expected an integer, got 1.9"),
+        ("census", {"n": True}, "n", "expected an integer, got True"),
+        ("trajectory",
+         {"coupling1": "appc:0.3", "coupling2": "appc:0.3", "state": "plus:0.5",
+          "grid": {"end": 1, "points": 3.9}},
+         "grid.points", "expected an integer, got 3.9"),
+        ("choi", {"coupling": "appc:0.5", "t": 0.3, "gamma": True},
+         "gamma", "expected a number, got True"),
+    ],
+)
+def test_config_number_of_the_wrong_kind_is_config_error(
+    tmp_path, capsys, command, payload, field, expected
+):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {field}: {expected}\n"
+
+
+def test_census_accepts_integral_float_and_ignores_config_gamma(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"n": 1e3, "seed": 4.0, "gamma": 2}')
+    code, stdout, _ = run_cli(["census", "--config", str(path)], capsys)
+    assert code == 0
+    assert stdout == run_cli(["census", "--n", "1000", "--seed", "4"], capsys)[1]
+
+
+def test_census_negative_seed_flag_is_config_error(capsys):
+    code, _, err = run_cli(["census", "--n", "10", "--seed", "-1"], capsys)
+    assert code == 2
+    assert err == "error: seed: seed must be >= 0, got -1\n"
+
+
+def test_census_has_no_gamma_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n", "10", "--gamma", "-5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from qsde import (
     family_appc,
     initial_state,
     kraus_flip,
+    lambda_at,
     lambda_trajectory,
 )
 from qsde.errors import IncompleteKraus, InvalidWeight
@@ -191,6 +192,14 @@ def test_trajectory_minus_02_and_08_identical():
     b = lambda_trajectory(initial_state("minus", 0.8), c, c, grid)
     diff = max(abs(x[1] - y[1]) for x, y in zip(a, b))
     assert diff <= 1e-10
+
+
+def test_shared_coupling_object_matches_two_equal_couplings():
+    # one Coupling on both qubits reuses its Kraus set; the numbers must not change
+    rho = initial_state("plus", 0.8)
+    a, b = family_appc(-0.6), family_appc(-0.6)
+    for t in (0.0, 0.1, 0.7, 3.0):
+        assert lambda_at(rho, a, a, t) == lambda_at(rho, a, b, t)
 
 
 def test_trajectory_first_record_is_initial_concurrence():
