@@ -40,7 +40,7 @@ from .errors import (
     QsdeError,
     WrongClass,
 )
-from .linalg import herm_eig, mat, psd_factor, sqrt_psd, vec
+from .linalg import herm_eig, mat, psd_factor, sqrt_psd
 from .pair import (
     ConcurrenceResult,
     concurrence,

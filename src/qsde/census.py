@@ -26,7 +26,10 @@ _DRAWS_PER_SAMPLE = 5
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Hit counts of the exempt surfaces for one census run."""
+    """Hit counts of the exempt surfaces for one census run.
+
+    ``flip_tolerance`` and ``ad_tolerance`` echo channel.FLIP_TOL and AD_TOL.
+    """
 
     n_samples: int
     n_flip_hits: int
@@ -63,22 +66,22 @@ def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def count_hits(
-    u: np.ndarray, v: np.ndarray, flip_tol: float = FLIP_TOL, ad_tol: float = AD_TOL
-) -> tuple[int, int, float]:
-    """(flip hits, amplitude-damping hits, min ||u x v| - 1/2|) over (u, v) rows."""
+def count_hits(u: np.ndarray, v: np.ndarray) -> tuple[int, int, float]:
+    """(flip hits, amplitude-damping hits, min ||u x v| - 1/2|) over (u, v) rows.
+
+    A hit lies within FLIP_TOL of |u x v| = 0 or AD_TOL of |u x v| = 1/2,
+    the surfaces classify and predict_dissipative use.
+    """
     w_norm = np.linalg.norm(np.cross(u, v), axis=1)
     ad_dist = np.abs(w_norm - 0.5)
     return (
-        int(np.count_nonzero(w_norm <= flip_tol)),
-        int(np.count_nonzero(ad_dist <= ad_tol)),
+        int(np.count_nonzero(w_norm <= FLIP_TOL)),
+        int(np.count_nonzero(ad_dist <= AD_TOL)),
         float(ad_dist.min()),
     )
 
 
-def run_census(
-    n: int, seed: int = 0, flip_tol: float = FLIP_TOL, ad_tol: float = AD_TOL
-) -> CensusReport:
+def run_census(n: int, seed: int = 0) -> CensusReport:
     """Count exempt-surface hits over n chart-uniform samples.
 
     The draws come from one Philox stream seeded with ``seed``, five per
@@ -88,18 +91,15 @@ def run_census(
         raise ValueError("n must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
-    for name, tol in (("flip_tol", flip_tol), ("ad_tol", ad_tol)):
-        if not tol >= 0.0:
-            raise ValueError(f"{name} must be >= 0, got {tol!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     u, v = uv_from_draws(rng.random((n, _DRAWS_PER_SAMPLE)))
-    n_flip, n_ad, min_ad = count_hits(u, v, flip_tol, ad_tol)
+    n_flip, n_ad, min_ad = count_hits(u, v)
     return CensusReport(
         n_samples=n,
         n_flip_hits=n_flip,
         n_ad_hits=n_ad,
-        flip_tolerance=flip_tol,
-        ad_tolerance=ad_tol,
+        flip_tolerance=FLIP_TOL,
+        ad_tolerance=AD_TOL,
         min_distance_to_ad=min_ad,
         seed=seed,
     )

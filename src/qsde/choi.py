@@ -20,7 +20,7 @@ import logging
 import numpy as np
 
 from .channel import Coupling, Dissipative, bloch_to_rho, classify, evolve, kraus_flip
-from .linalg import IDENTITY_2, RELATIVE_SPECTRAL_ZERO, herm_eig, mat, psd_factor
+from .linalg import IDENTITY_2, herm_eig, mat, psd_factor
 
 logger = logging.getLogger(__name__)
 
@@ -67,23 +67,24 @@ def _validate_choi(choi: np.ndarray) -> None:
         raise ValueError(
             f"channel is not trace preserving: |tr_2 choi - 1| = {tp_err:.3e}"
         )
-    smallest = float(herm_eig(choi)[0][-1])
-    if smallest < CHOI_DUST_WARN:
-        logger.warning(
-            "clipping negative Choi eigenvalue %.3e to zero", smallest
-        )
 
 
 def kraus_of_choi(choi) -> list[np.ndarray]:
     """Extract Kraus operators from a Choi matrix.
 
     Columns of the PSD factor S (S S^dag = choi) are reshaped into 2x2
-    operators; columns with max-norm below 1e-9 are dropped. Raises NotPSD
+    operators; columns with max-norm below 1e-9 are dropped. One
+    eigendecomposition serves the dust warning and the factor. Raises NotPSD
     (via the factorization) when the matrix is not PSD beyond dust level.
     """
     choi = np.asarray(choi, dtype=complex)
     _validate_choi(choi)
-    s = psd_factor(choi, relative_zero=RELATIVE_SPECTRAL_ZERO)
+    values, vectors = herm_eig(choi)
+    if values[-1] < CHOI_DUST_WARN:
+        logger.warning(
+            "clipping negative Choi eigenvalue %.3e to zero", float(values[-1])
+        )
+    s = psd_factor(values, vectors)
     operators = [mat(s[:, i]) for i in range(s.shape[1])]
     return [k for k in operators if float(np.max(np.abs(k))) >= KRAUS_DROP_TOL]
 

@@ -22,13 +22,13 @@ import tempfile
 import numpy as np
 
 from .census import run_census
-from .channel import (
-    AD_TOL, FLIP_TOL, Coupling, Flip, asymptote, classify, evolve, family, family_appc,
-)
+from .channel import Coupling, Flip, asymptote, classify, evolve, family, family_appc
 from .choi import choi_of_channel, completeness_residual, kraus_of_choi
 from .errors import ConfigError, QsdeError
-from .linalg import herm_eig
-from .pair import DEFAULT_GRID_POINTS, default_grid, initial_state, lambda_trajectory
+from .linalg import HERMITIAN_TOL, herm_eig
+from .pair import (
+    DEFAULT_GRID_POINTS, DENSITY_TRACE_TOL, default_grid, initial_state, lambda_trajectory,
+)
 from .sde import sde_check
 
 EXIT_OK = 0
@@ -61,10 +61,8 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _need_float(cfg: dict, field: str, default=None) -> float:
-    value = cfg.get(field, default)
-    if value is None:
-        raise ConfigError(field, "required value is missing")
+def _number(value, field: str) -> float:
+    """A finite config number; JSON true/false are not numbers, though float() takes them."""
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -74,6 +72,13 @@ def _need_float(cfg: dict, field: str, default=None) -> float:
     if not math.isfinite(out):
         raise ConfigError(field, "value must be finite")
     return out
+
+
+def _need_float(cfg: dict, field: str, default=None) -> float:
+    value = cfg.get(field, default)
+    if value is None:
+        raise ConfigError(field, "required value is missing")
+    return _number(value, field)
 
 
 def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> int:
@@ -87,13 +92,9 @@ def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> in
 
 
 def _vec3(value, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected 3 numbers, got {value!r}")
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(field, f"expected a finite 3-vector, got {value!r}")
-    return arr
+    return np.array([_number(x, field) for x in value])
 
 
 def _parse_floats(text: str, field: str) -> list[float]:
@@ -188,10 +189,10 @@ def _state_from_file(path: str, field: str) -> np.ndarray:
         raise ConfigError(field, "state file must hold a 4x4 matrix of numbers or [re, im] pairs")
     if rho.shape != (4, 4):
         raise ConfigError(field, f"state matrix must be 4x4, got {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > 1e-10:
-        raise ConfigError(field, "state matrix is not Hermitian within 1e-10")
-    if abs(complex(np.trace(rho)) - 1.0) > 1e-10:
-        raise ConfigError(field, "state matrix trace must be 1 within 1e-10")
+    if float(np.max(np.abs(rho - rho.conj().T))) > HERMITIAN_TOL:
+        raise ConfigError(field, f"state matrix is not Hermitian within {HERMITIAN_TOL:g}")
+    if abs(complex(np.trace(rho)) - 1.0) > DENSITY_TRACE_TOL:
+        raise ConfigError(field, f"state matrix trace must be 1 within {DENSITY_TRACE_TOL:g}")
     smallest = float(np.linalg.eigvalsh(rho)[0])
     if smallest < -1e-9:
         raise ConfigError(field, f"state matrix has eigenvalue {smallest:.3e} < -1e-9")
@@ -225,13 +226,12 @@ def _times_from_spec(spec, field: str) -> list[float]:
         raise ConfigError(field, "required value is missing")
     if isinstance(spec, str):
         spec = _parse_floats(spec, field)
-    try:
-        times = [float(t) for t in spec]
-    except (TypeError, ValueError):
+    if not isinstance(spec, (list, tuple)):
         raise ConfigError(field, f"expected a list of times, got {spec!r}")
+    times = [_number(t, field) for t in spec]
     if not times:
         raise ConfigError(field, "at least one time is required")
-    if any(not math.isfinite(t) or t < 0.0 for t in times):
+    if any(t < 0.0 for t in times):
         raise ConfigError(field, "times must be finite and >= 0")
     return times
 
@@ -381,12 +381,7 @@ def cmd_census(cfg: dict) -> str:
     seed = _need_int(cfg, "seed", 0)
     if seed < 0:
         raise ConfigError("seed", f"seed must be >= 0, got {seed}")
-    flip_tol = _need_float(cfg, "flip_tol", FLIP_TOL)
-    ad_tol = _need_float(cfg, "ad_tol", AD_TOL)
-    for field, tol in (("flip_tol", flip_tol), ("ad_tol", ad_tol)):
-        if tol < 0.0:
-            raise ConfigError(field, f"tolerance must be >= 0, got {tol!r}")
-    return _json(run_census(n, seed=seed, flip_tol=flip_tol, ad_tol=ad_tol).to_dict())
+    return _json(run_census(n, seed=seed).to_dict())
 
 
 def cmd_bloch_export(cfg: dict) -> str:

@@ -57,47 +57,42 @@ def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
 
 
-def _clipped_psd_eig(m, relative_zero: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = herm_eig(m)
+def psd_spectrum(values) -> np.ndarray:
+    """The PSD rule on a descending spectrum, as returned by herm_eig.
+
+    Raises NotPSD below PSD_ABORT_TOL, clips the remaining negative dust to
+    zero and snaps values below RELATIVE_SPECTRAL_ZERO times the largest to
+    exact zero, so low-rank inputs stay exactly low rank.
+    """
     smallest = float(values[-1])
     if smallest < PSD_ABORT_TOL:
         raise NotPSD(
             f"smallest eigenvalue {smallest:.3e} below {PSD_ABORT_TOL:.0e}"
         )
     values = np.clip(values, 0.0, None)
-    if relative_zero > 0.0 and values[0] > 0.0:
-        values[values < relative_zero * values[0]] = 0.0
-    return values, vectors
+    if values[0] > 0.0:
+        values[values < RELATIVE_SPECTRAL_ZERO * values[0]] = 0.0
+    return values
 
 
-def sqrt_psd(m, relative_zero: float = 0.0) -> np.ndarray:
-    """Hermitian square root of a PSD matrix: result @ result == m.
+def psd_factor(values, vectors) -> np.ndarray:
+    """Factor S = V diag(sqrt(values)) of a PSD matrix from its herm_eig output.
 
-    ``relative_zero`` additionally snaps eigenvalues below that fraction of
-    the largest one to exact zero, keeping low-rank inputs exactly low rank.
+    S @ S^dag reproduces the matrix under psd_spectrum's rule. Columns of S
+    are ordered by descending eigenvalue, so a rank-r input yields exactly r
+    nonzero columns.
     """
-    values, vectors = _clipped_psd_eig(m, relative_zero)
-    scaled = vectors * np.sqrt(values)
-    return scaled @ vectors.conj().T
+    return vectors * np.sqrt(psd_spectrum(values))
 
 
-def psd_factor(m, relative_zero: float = 0.0) -> np.ndarray:
-    """Factor a PSD matrix as S @ S^dag == m with S = V diag(sqrt(values)).
-
-    Columns of S are ordered by descending eigenvalue, so a rank-r input
-    yields exactly r nonzero columns. ``relative_zero`` as in sqrt_psd.
-    """
-    values, vectors = _clipped_psd_eig(m, relative_zero)
-    return vectors * np.sqrt(values)
-
-
-def vec(m) -> np.ndarray:
-    """Vectorize a matrix by stacking its columns: [[a, c], [b, d]] -> (a, b, c, d)."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F").copy()
+def sqrt_psd(m) -> np.ndarray:
+    """Hermitian square root of a PSD matrix: result @ result == m."""
+    values, vectors = herm_eig(m)
+    return psd_factor(values, vectors) @ vectors.conj().T
 
 
 def mat(v) -> np.ndarray:
-    """Invert :func:`vec`: (a, b, c, d) -> [[a, c], [b, d]]."""
+    """Un-stack a column-stacked vector: (a, b, c, d) -> [[a, c], [b, d]]."""
     v = np.asarray(v, dtype=complex)
     d = int(round(np.sqrt(v.size)))
     if d * d != v.size:

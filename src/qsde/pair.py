@@ -14,9 +14,8 @@ import numpy as np
 from .channel import Coupling
 from .choi import completeness_residual, kraus_of_coupling
 from .errors import IncompleteKraus, InvalidWeight, NotHermitian
-from .linalg import RELATIVE_SPECTRAL_ZERO, SIGMA_Y, herm_eig, sqrt_psd
+from .linalg import HERMITIAN_TOL, SIGMA_Y, herm_eig, psd_spectrum, sqrt_psd
 
-DENSITY_HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 DEFAULT_GRID_SPAN = 10.0
@@ -59,7 +58,7 @@ def _check_density4(rho: np.ndarray) -> None:
     if rho.shape != (4, 4):
         raise ValueError(f"two-qubit state must be 4x4, got {rho.shape}")
     dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if dev > DENSITY_HERMITIAN_TOL:
+    if dev > HERMITIAN_TOL:
         raise NotHermitian(f"state deviates from Hermitian by {dev:.3e}")
     trace_err = abs(complex(np.trace(rho)) - 1.0)
     if trace_err > DENSITY_TRACE_TOL:
@@ -97,9 +96,12 @@ def concurrence(rho) -> ConcurrenceResult:
     matrix sqrt(rho) (sy (x) sy) rho* (sy (x) sy) sqrt(rho), and
     lam = l_1 - l_2 - l_3 - l_4 with C = max(0, lam).
 
-    Eigenvalues below the relative spectral floor are snapped to exact
-    zero before the square root; otherwise eigensolver noise of order eps
-    would surface as spurious sqrt(eps)-sized roots on low-rank states.
+    Both spectra, of rho and of the similar matrix, go through the PSD rule
+    of linalg.psd_spectrum. The similar matrix is PSD in exact arithmetic,
+    so on a valid state the rule only clips and snaps: eigenvalues below
+    the relative spectral floor become exact zeros before the square root;
+    otherwise eigensolver noise of order eps would surface as spurious
+    sqrt(eps)-sized roots on low-rank states.
     The price is resolution: a genuine eigenvalue of rho under the floor is
     dropped along with the noise, so the roots, and lam, are resolved only
     to sqrt(RELATIVE_SPECTRAL_ZERO) ~ 1.2e-7, and inside that band the sign
@@ -109,13 +111,10 @@ def concurrence(rho) -> ConcurrenceResult:
     """
     rho = np.asarray(rho, dtype=complex)
     _check_density4(rho)
-    root = sqrt_psd(rho, relative_zero=RELATIVE_SPECTRAL_ZERO)
+    root = sqrt_psd(rho)
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     similar = root @ flipped @ root
-    values = np.clip(herm_eig(0.5 * (similar + similar.conj().T))[0], 0.0, None)
-    if values[0] > 0.0:
-        values[values < RELATIVE_SPECTRAL_ZERO * values[0]] = 0.0
-    roots = np.sqrt(values)
+    roots = np.sqrt(psd_spectrum(herm_eig(0.5 * (similar + similar.conj().T))[0]))
     lam = float(roots[0] - roots[1] - roots[2] - roots[3])
     return ConcurrenceResult(lam=lam, concurrence=max(0.0, lam), roots=roots)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qsde.census import count_hits, run_census, uv_from_draws
+from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify
+from qsde.sde import predict_dissipative
 
 
 def draws(seed, n):
@@ -89,10 +91,33 @@ def test_report_dict_round_trip():
     }
 
 
-@pytest.mark.parametrize("field", ["flip_tol", "ad_tol"])
-def test_run_census_rejects_negative_tolerance(field):
-    with pytest.raises(ValueError, match=field):
-        run_census(10, seed=1, **{field: -1.0})
+def test_report_echoes_the_classifier_tolerances():
+    report = run_census(10, seed=1)
+    assert (report.flip_tolerance, report.ad_tolerance) == (FLIP_TOL, AD_TOL)
+
+
+def _coupling_with_w(m):
+    # u = (a, 0, 0), v = (0, b, 0) with a^2 + b^2 = 1 and |u x v| = a b = m
+    a = math.sqrt(0.5 * (1.0 + math.sqrt(1.0 - 4.0 * m * m)))
+    return np.array([a, 0.0, 0.0]), np.array([0.0, m / a, 0.0])
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_census_flip_surface_is_the_classifiers(scale):
+    u, v = _coupling_with_w(scale * FLIP_TOL)
+    n_flip, _, _ = count_hits(u[None, :], v[None, :])
+    assert n_flip == int(isinstance(classify(Coupling(u, v)), Flip))
+    assert n_flip == int(scale < 1.0)
+
+
+@pytest.mark.parametrize("offset", [-2.0, -0.5, 0.0])
+def test_census_amplitude_damping_surface_is_the_criterions(offset):
+    # |u x v| <= 1/2 for every unit coupling, so the surface is approached from below
+    u, v = _coupling_with_w(0.5 + offset * AD_TOL)
+    c = Coupling(u, v)
+    _, n_ad, _ = count_hits(u[None, :], v[None, :])
+    assert n_ad == int(predict_dissipative(c, c).predicted == "not-covered")
+    assert n_ad == int(abs(offset) < 1.0)
 
 
 def test_run_census_rejects_negative_seed():

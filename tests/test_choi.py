@@ -144,3 +144,34 @@ def test_kraus_of_coupling_uses_two_operators_for_flips():
     kraus = kraus_of_coupling(c, 0.5)
     assert len(kraus) == 2
     assert completeness_residual(kraus) <= 1e-12
+
+
+def test_kraus_of_choi_decomposes_each_choi_matrix_once(monkeypatch):
+    import qsde.choi
+    import qsde.linalg
+
+    calls = []
+    original = qsde.linalg.herm_eig
+
+    def counting(m):
+        calls.append(1)
+        return original(m)
+
+    # both names: the one choi calls, and the one linalg's helpers call
+    monkeypatch.setattr(qsde.choi, "herm_eig", counting)
+    monkeypatch.setattr(qsde.linalg, "herm_eig", counting)
+    for theta, t in ((-math.pi / 5, 0.5), (0.3, 1.2), (-math.pi / 4, 0.0)):
+        calls.clear()
+        kraus_of_choi(choi_of_channel(family_appc(theta), t))
+        assert len(calls) == 1
+
+
+def test_choi_dust_is_clipped_with_one_warning(caplog):
+    # trace 2 and tr_2 = 1, smallest eigenvalue -1e-10: dust, not an error
+    dusty = np.diag([1.0 + 1e-10, -1e-10, 0.5, 0.5]).astype(complex)
+    with caplog.at_level("WARNING", logger="qsde.choi"):
+        kraus = kraus_of_choi(dusty)
+    assert [r.getMessage() for r in caplog.records] == [
+        "clipping negative Choi eigenvalue -1.000e-10 to zero"
+    ]
+    assert len(kraus) == 3

@@ -259,16 +259,6 @@ def test_census_requires_positive_n(capsys):
     assert "n" in err
 
 
-def test_census_negative_tolerance_is_config_error(tmp_path, capsys):
-    for field in ("flip_tol", "ad_tol"):
-        path = tmp_path / f"{field}.json"
-        path.write_text(json.dumps({"n": 10, field: -1}))
-        code, stdout, err = run_cli(["census", "--config", str(path)], capsys)
-        assert code == 2
-        assert stdout == ""
-        assert err.startswith(f"error: {field}: ")
-
-
 def test_census_overflowing_integer_is_config_error(tmp_path, capsys):
     # JSON 1e400 parses to inf, which int() rejects with OverflowError
     for payload, field in (('{"n": 1e400}', "n"), ('{"n": 10, "seed": 1e400}', "seed")):
@@ -302,6 +292,25 @@ def test_config_number_of_the_wrong_kind_is_config_error(
     assert code == 2
     assert stdout == ""
     assert err == f"error: {field}: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("evolve", {"coupling": "appc:0.3", "times": [True], "r0": [True, 0, 0]}, "r0"),
+        ("evolve", {"coupling": "appc:0.3", "times": [0.5, True]}, "times"),
+        ("evolve", {"coupling": {"type": "uv", "u": [1, 0, False], "v": [0, 0, 0]},
+                    "times": [1]}, "coupling.u"),
+        ("bloch-export", {"coupling": "appc:0.3", "times": [False]}, "times"),
+    ],
+)
+def test_config_boolean_in_a_list_is_not_a_number(tmp_path, capsys, command, payload, field):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: {field}: expected a number, got ")
 
 
 def test_census_accepts_integral_float_and_ignores_config_gamma(tmp_path, capsys):
@@ -490,3 +499,25 @@ def test_unknown_coupling_form_is_config_error(capsys):
     )
     assert code == 2
     assert "coupling" in err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.eye(3) / 3.0, "state matrix must be 4x4, got (3, 3)"),
+        (np.eye(4) / 4.0 + np.diag([1e-6] * 3, k=1), "state matrix is not Hermitian within 1e-10"),
+        (np.eye(4) / 3.0, "state matrix trace must be 1 within 1e-10"),
+        (np.diag([0.5 + 2e-9, 0.5, 0.0, -2e-9]), "state matrix has eigenvalue -2.000e-09 < -1e-9"),
+    ],
+    ids=["not-4x4", "not-hermitian", "trace", "negative-eigenvalue"],
+)
+def test_invalid_state_file_is_config_error(tmp_path, capsys, matrix, message):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"matrix": [[[float(x), 0.0] for x in row] for row in matrix]}))
+    code, stdout, err = run_cli(
+        ["sde-check", "--coupling1", "appc:0.3", "--coupling2", "appc:0.3", "--state", f"file:{path}"],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: state: {message}\n"

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from qsde.errors import NotHermitian, NotPSD
-from qsde.linalg import SIGMA_Z, herm_eig, mat, psd_factor, sqrt_psd, vec
+from qsde.linalg import (
+    PSD_ABORT_TOL,
+    RELATIVE_SPECTRAL_ZERO,
+    SIGMA_Z,
+    herm_eig,
+    mat,
+    psd_factor,
+    psd_spectrum,
+    sqrt_psd,
+)
 
 from helpers import random_hermitian
 
@@ -62,12 +71,12 @@ def test_herm_eig_rejects_non_hermitian():
 
 
 def test_psd_factor_identity():
-    s = psd_factor(np.eye(4, dtype=complex))
+    s = psd_factor(*herm_eig(np.eye(4, dtype=complex)))
     assert np.allclose(s @ s.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_psd_factor_diagonal_column_norms():
-    s = psd_factor(np.diag([4.0, 1.0, 0.0, 0.0]).astype(complex))
+    s = psd_factor(*herm_eig(np.diag([4.0, 1.0, 0.0, 0.0]).astype(complex)))
     norms = np.sort(np.linalg.norm(s, axis=0) ** 2)[::-1]
     assert np.allclose(norms, [4.0, 1.0, 0.0, 0.0], atol=1e-12)
 
@@ -77,13 +86,13 @@ def test_psd_factor_round_trip(seed):
     rng = np.random.default_rng(100 + seed)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psd = a @ a.conj().T
-    s = psd_factor(psd)
+    s = psd_factor(*herm_eig(psd))
     assert np.max(np.abs(s @ s.conj().T - psd)) <= 1e-9
 
 
 def test_psd_factor_rejects_indefinite():
     with pytest.raises(NotPSD):
-        psd_factor(np.diag([1.0, 1.0, 1.0, -1e-6]).astype(complex))
+        psd_factor(*herm_eig(np.diag([1.0, 1.0, 1.0, -1e-6]).astype(complex)))
 
 
 def test_sqrt_psd_identity_and_diagonal():
@@ -102,18 +111,12 @@ def test_sqrt_psd_squares_back(seed):
     assert np.max(np.abs(root - root.conj().T)) <= 1e-10
 
 
-def test_vec_column_stacking():
-    m = np.array([[1 + 2j, 5 + 6j], [3 + 4j, 7 + 8j]])
-    assert np.array_equal(vec(m), np.array([1 + 2j, 3 + 4j, 5 + 6j, 7 + 8j]))
-    assert np.array_equal(vec(np.eye(2)), np.array([1, 0, 0, 1], dtype=complex))
-
-
 def test_mat_inverts_vec_bit_exactly():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.array_equal(mat(vec(x)), x)
+    assert np.array_equal(mat(x.reshape(-1, order="F")), x)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.array_equal(vec(mat(v)), v)
+    assert np.array_equal(mat(v).reshape(-1, order="F"), v)
 
 
 def test_psd_factor_of_identity_channel_matrix_is_rank_one():
@@ -125,7 +128,45 @@ def test_psd_factor_of_identity_channel_matrix_is_rank_one():
             m[j, k] = 1.0
     vals, _ = herm_eig(m)
     assert np.allclose(vals, [2.0, 0.0, 0.0, 0.0], atol=1e-12)
-    s = psd_factor(m)
+    s = psd_factor(*herm_eig(m))
     norms = np.linalg.norm(s, axis=0)
     assert abs(norms[0] ** 2 - 2.0) <= 1e-12
     assert np.all(norms[1:] <= 1e-7)
+
+
+# ---------------------------------------------------------------------------
+# The PSD rule at its boundaries
+
+
+def test_sqrt_psd_keeps_a_value_just_above_the_relative_floor():
+    small = 1.01 * RELATIVE_SPECTRAL_ZERO
+    root = sqrt_psd(np.diag([1.0, 0.5, small, 0.0]).astype(complex))
+    assert root[2, 2].real == pytest.approx(np.sqrt(small), rel=1e-12)
+
+
+def test_sqrt_psd_zeroes_a_value_just_below_the_relative_floor():
+    small = 0.99 * RELATIVE_SPECTRAL_ZERO
+    root = sqrt_psd(np.diag([1.0, 0.5, small, 0.0]).astype(complex))
+    assert root[2, 2] == 0.0
+
+
+def test_relative_floor_scales_with_the_largest_value():
+    # the same absolute value survives next to a smaller leading eigenvalue
+    values = psd_spectrum(np.array([1.0, 0.99 * RELATIVE_SPECTRAL_ZERO]))
+    assert values[1] == 0.0
+    values = psd_spectrum(np.array([0.5, 0.99 * RELATIVE_SPECTRAL_ZERO]))
+    assert values[1] == 0.99 * RELATIVE_SPECTRAL_ZERO
+
+
+def test_value_just_above_the_abort_bound_is_clipped():
+    root = sqrt_psd(np.diag([1.0, 0.5, 0.0, 0.99 * PSD_ABORT_TOL]).astype(complex))
+    assert root[3, 3] == 0.0
+    assert np.array_equal(psd_spectrum(np.array([1.0, 0.99 * PSD_ABORT_TOL])), [1.0, 0.0])
+
+
+def test_value_just_below_the_abort_bound_raises():
+    m = np.diag([1.0, 0.5, 0.0, 1.01 * PSD_ABORT_TOL]).astype(complex)
+    with pytest.raises(NotPSD, match="below -1e-08"):
+        sqrt_psd(m)
+    with pytest.raises(NotPSD):
+        psd_factor(*herm_eig(m))
