@@ -95,7 +95,6 @@ class Coupling:
             u=u,
             v=v,
             w=_vector3(w, "w"),
-            w_hat=_vector3(w / norm_w, "w_hat"),
             chi=chi,
             q=q,
         )
@@ -120,7 +119,6 @@ class Dissipative:
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    w_hat: np.ndarray
     chi: float
     q: float
     v_cross_w: np.ndarray = field(init=False)

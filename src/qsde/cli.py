@@ -12,6 +12,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -82,13 +83,21 @@ def _need_float(cfg: dict, field: str, default=None) -> float:
 
 
 def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> int:
-    value = cfg.get(key, default)
+    """An integer config value; an integral number such as JSON's 1e3 counts, as text too."""
+    field = field or key
+    value = number = cfg.get(key, default)
+    if isinstance(value, str):  # flag text or a config string; int() keeps big seeds exact
+        try:
+            number = int(value)
+        except ValueError:
+            with contextlib.suppress(ValueError):
+                number = float(value)
     try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        if isinstance(number, bool) or (isinstance(number, float) and not number.is_integer()):
             raise ValueError
-        return int(value)
+        return int(number)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field or key, f"expected an integer, got {value!r}")
+        raise ConfigError(field, f"expected an integer, got {value!r}")
 
 
 def _vec3(value, field: str) -> np.ndarray:
@@ -180,7 +189,8 @@ def _state_from_file(path: str, field: str) -> np.ndarray:
     raw = payload.get("matrix") if isinstance(payload, dict) else payload
     try:
         rows = [
-            [complex(cell[0], cell[1]) if isinstance(cell, (list, tuple)) else complex(cell)
+            [complex(_number(cell[0], field), _number(cell[1], field))
+             if isinstance(cell, (list, tuple)) else complex(_number(cell, field))
              for cell in row]
             for row in raw
         ]
@@ -241,8 +251,16 @@ _NOT_CONFIG = ("command", "func", "config", "out")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """The --config file's values, overridden by every flag that was set."""
+    """The --config file's values, overridden by every flag that was set.
+
+    A config key must be the name of some subcommand's flag, so one file can
+    serve every subcommand but a mistyped key is not silently ignored.
+    """
     cfg = _load_config(args.config) if args.config else {}
+    known = {flag[2:] for *_, flags in SUBCOMMANDS for flag, _ in flags}
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(key, f"unknown config key (known: {', '.join(sorted(known))})")
     for key, value in vars(args).items():
         if key not in _NOT_CONFIG and value is not None:
             cfg[key] = value
@@ -427,34 +445,35 @@ def _emit(text: str, out_path: str | None) -> None:
             os.unlink(tmp)
 
 
-_GAMMA = ("--gamma", float, "decay rate (default 1)")
-_COUPLING = ("--coupling", None, "coupling spec")
-_GRID = ("--grid", None, "time grid start:end:points")
-_TIMES = ("--times", None, "comma-separated times")
+_GAMMA = ("--gamma", "decay rate (default 1)")
+_COUPLING = ("--coupling", "coupling spec")
+_GRID = ("--grid", "time grid start:end:points")
+_TIMES = ("--times", "comma-separated times")
 _PAIR = (
     _GAMMA,
-    ("--coupling1", None, "coupling spec for qubit 1"),
-    ("--coupling2", None, "coupling spec for qubit 2"),
-    ("--state", None, "plus:alpha_sq | minus:alpha_sq | file:rho.json"),
+    ("--coupling1", "coupling spec for qubit 1"),
+    ("--coupling2", "coupling spec for qubit 2"),
+    ("--state", "plus:alpha_sq | minus:alpha_sq | file:rho.json"),
     _GRID,
 )
 
-# (name, help, handler, flags as (flag, type, help)), in --help order
+# (name, help, handler, flags as (flag, help)), in --help order. Flag values
+# stay text, so each is read by the same coercion as its config-file value.
 SUBCOMMANDS = (
     ("evolve", "single-qubit Bloch trajectory (JSON)", cmd_evolve, (
         _GAMMA,
-        ("--coupling", None, "uv:ux,uy,uz;vx,vy,vz | family:theta,phi | appc:theta"),
-        ("--r0", None, "initial Bloch vector x,y,z (default 0,0,1)"),
+        ("--coupling", "uv:ux,uy,uz;vx,vy,vz | family:theta,phi | appc:theta"),
+        ("--r0", "initial Bloch vector x,y,z (default 0,0,1)"),
         _TIMES,
         _GRID,
     )),
     ("trajectory", "two-qubit lam/concurrence trajectory (CSV)", cmd_trajectory, _PAIR),
     ("sde-check", "sudden-death verdict (JSON)", cmd_sde_check, _PAIR),
     ("choi", "Choi matrix and Kraus operators at one time (JSON)", cmd_choi,
-     (_GAMMA, _COUPLING, ("--t", float, "evolution time"))),
+     (_GAMMA, _COUPLING, ("--t", "evolution time"))),
     ("census", "coupling-space census (JSON)", cmd_census, (
-        ("--n", int, "number of samples"),
-        ("--seed", int, "RNG seed (default 0)"),
+        ("--n", "number of samples"),
+        ("--seed", "RNG seed (default 0)"),
     )),
     ("bloch-export", "Bloch-ball image of a sphere mesh (CSV)", cmd_bloch_export,
      (_GAMMA, _COUPLING, _TIMES)),
@@ -473,8 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler, flags in SUBCOMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, kind, flag_help in flags:
-            p.add_argument(flag, type=kind, help=flag_help)
+        for flag, flag_help in flags:
+            p.add_argument(flag, help=flag_help)
         p.set_defaults(func=handler)
     return parser
 

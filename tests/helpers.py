@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsde import Coupling, bloch_to_rho
 from qsde.census import uv_from_draws
+from qsde.channel import Coupling, bloch_to_rho
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:

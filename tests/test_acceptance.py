@@ -16,23 +16,13 @@ import math
 import time
 
 import numpy as np
-from qsde import (
-    concurrence,
-    detect_tau,
-    evolve,
-    family_appc,
-    initial_state,
-    lambda_at,
-    lambda_trajectory,
-    predict_dissipative,
-    predict_flip,
-    rotation_for,
-    run_census,
-)
-from qsde.channel import Coupling, bloch_to_rho
+from qsde.census import run_census
+from qsde.channel import Coupling, bloch_to_rho, evolve, family_appc
 from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
+from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory
+from qsde.sde import detect_tau, predict_dissipative, predict_flip, rotation_for
 
 from helpers import (
     apply_channel,

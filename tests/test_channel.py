@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsde import (
+from qsde.channel import (
     Coupling,
     Dissipative,
     Flip,
@@ -172,18 +172,16 @@ def test_standard_amplitude_damping_from_origin():
     # theta = -pi/4 coupling pumps the w component as 1 - e^{-4 g t}
     c = family_appc(-math.pi / 4)
     cls = classify(c)
+    w_hat = cls.w / np.linalg.norm(cls.w)
     for t in (0.1, 0.5, 2.0):
         r = evolve_dissipative(np.zeros(3), cls, 1.0, t)
-        assert abs(float(r @ cls.w_hat) - (1.0 - math.exp(-4.0 * t))) <= 1e-14
+        assert abs(float(r @ w_hat) - (1.0 - math.exp(-4.0 * t))) <= 1e-14
         rk4 = oracle_rk4(np.zeros(3), c, t, 1e-4)
         assert np.max(np.abs(r - rk4)) <= 1e-8
 
 
 def test_evolve_dissipative_rejects_flip():
-    cls = classify(family_appc(-math.pi / 4))
-    degenerate = Dissipative(
-        u=X, v=np.zeros(3), w=np.zeros(3), w_hat=cls.w_hat, chi=0.5, q=0.5
-    )
+    degenerate = Dissipative(u=X, v=np.zeros(3), w=np.zeros(3), chi=0.5, q=0.5)
     with pytest.raises(NotDissipative):
         evolve_dissipative(X, degenerate, 1.0, 1.0)
 
@@ -213,7 +211,8 @@ def test_orthogonal_family_components_decay_exponentially():
         cls = classify(c)
         u_hat = c.u / np.linalg.norm(c.u)
         v_hat = c.v / np.linalg.norm(c.v)
-        r0 = (u_hat + v_hat + cls.w_hat) / math.sqrt(3.0)
+        w_hat = cls.w / np.linalg.norm(cls.w)
+        r0 = (u_hat + v_hat + w_hat) / math.sqrt(3.0)
         t = 0.7
         r = evolve_dissipative(r0, cls, 1.0, t)
         rate_u = -math.log(float(r @ u_hat) / float(r0 @ u_hat)) / t

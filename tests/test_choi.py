@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsde import bloch_to_rho, evolve, family_appc
+from qsde.channel import Coupling, bloch_to_rho, evolve, family_appc, kraus_flip
 from qsde.choi import (
     choi_of_channel,
     completeness_residual,
@@ -35,8 +35,6 @@ def test_identity_channel_single_kraus():
 
 
 def test_dephasing_choi_becomes_rank_two():
-    from qsde import Coupling
-
     flip_z = Coupling(u=np.array([0.0, 0.0, 1.0]), v=np.zeros(3))
     vals = herm_eig(choi_of_channel(flip_z, 30.0))[0]
     assert np.allclose(vals, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
@@ -62,8 +60,6 @@ def test_generic_dissipative_choi_has_more_than_two_kraus():
 
 @pytest.mark.parametrize("gamma_t", [0.1, 0.4, 1.5])
 def test_flip_kraus_from_choi_matches_bloch_map(gamma_t):
-    from qsde import Coupling
-
     axis = np.array([1.0, 2.0, -0.5])
     axis /= np.linalg.norm(axis)
     c = Coupling(u=axis, v=np.zeros(3))
@@ -105,8 +101,6 @@ def test_apply_channel_identity():
 
 
 def test_apply_channel_phase_flip_scales_coherence():
-    from qsde import kraus_flip
-
     plus = bloch_to_rho(np.array([1.0, 0.0, 0.0]))
     t = 0.8
     out = apply_channel(kraus_flip(np.array([0.0, 0.0, 1.0]), 1.0, t), plus)
@@ -138,8 +132,6 @@ def test_kraus_of_choi_rejects_non_trace_preserving():
 
 
 def test_kraus_of_coupling_uses_two_operators_for_flips():
-    from qsde import Coupling
-
     c = Coupling(u=np.array([0.0, 1.0, 0.0]), v=np.zeros(3))
     kraus = kraus_of_coupling(c, 0.5)
     assert len(kraus) == 2

@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 
+from qsde.channel import family
 from qsde.cli import geodesic_sphere, main
 
 
@@ -334,6 +335,38 @@ def test_census_has_no_gamma_flag(capsys):
     assert "unrecognized arguments: --gamma" in capsys.readouterr().err
 
 
+def test_integer_flag_is_read_like_the_config_number(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"n": 1e3}')
+    from_config = run_cli(["census", "--config", str(path)], capsys)
+    assert from_config[0] == 0
+    assert run_cli(["census", "--n", "1e3"], capsys) == from_config
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--n", "2.5"], "n: expected an integer, got '2.5'"),
+        (["census", "--n", "abc"], "n: expected an integer, got 'abc'"),
+        (["choi", "--coupling", "appc:0.5", "--t", "abc"], "t: expected a number, got 'abc'"),
+    ],
+    ids=["fraction", "integer-word", "float-word"],
+)
+def test_flag_value_that_is_not_a_number_is_config_error(capsys, argv, message):
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["sed", "flip_tol"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"n": 1000, key: 5}))
+    code, stdout, err = run_cli(["census", "--config", str(path)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {key}: unknown config key (known: coupling, ")
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -427,9 +460,7 @@ def test_bloch_export_amplitude_damping_contracts_to_point(tmp_path):
     )
     assert code == 0
     _, rows, _ = read_csv(out)
-    import qsde
-
-    c = qsde.family(math.pi / 4, math.pi / 2)
+    c = family(math.pi / 4, math.pi / 2)
     fixed_point = 2.0 * np.cross(c.u, c.v)
     assert abs(np.linalg.norm(fixed_point) - 1.0) <= 1e-12
     for row in rows:
@@ -520,4 +551,25 @@ def test_invalid_state_file_is_config_error(tmp_path, capsys, matrix, message):
     )
     assert code == 2
     assert stdout == ""
+    assert err == f"error: state: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("[[true, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]", "expected a number, got True"),
+        ("[[[0.5, 0], 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, [0.5, false]]]",
+         "expected a number, got False"),
+        ("[[NaN, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]", "value must be finite"),
+    ],
+    ids=["boolean", "boolean-imaginary-part", "nan"],
+)
+def test_state_file_entry_that_is_not_a_number_is_config_error(tmp_path, capsys, matrix, message):
+    path = tmp_path / "rho.json"
+    path.write_text(f'{{"matrix": {matrix}}}')
+    code, stdout, err = run_cli(
+        ["sde-check", "--coupling1", "appc:0.3", "--coupling2", "appc:0.3", "--state", f"file:{path}"],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
     assert err == f"error: state: {message}\n"

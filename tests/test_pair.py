@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qsde import (
+from qsde.channel import family_appc, kraus_flip
+from qsde.pair import (
     concurrence,
     default_grid,
     evolve_pair,
-    family_appc,
     initial_state,
-    kraus_flip,
     lambda_at,
     lambda_trajectory,
 )

@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qsde import (
-    Coupling,
+from qsde.channel import Coupling, evolve, family_appc
+from qsde.pair import initial_state, lambda_at, lambda_trajectory
+from qsde.sde import (
     detect_tau,
-    evolve,
-    family_appc,
-    initial_state,
-    lambda_at,
-    lambda_trajectory,
     predict_dissipative,
     predict_flip,
     rotate_pair,
