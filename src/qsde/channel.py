@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCoupling, NotDissipative
+from .errors import DegenerateCoupling
 from .linalg import IDENTITY_2, dot_sigma
 
 NORMALIZATION_TOL = 1e-12
@@ -176,8 +176,6 @@ def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarr
     r0 = np.asarray(r0, dtype=float)
     u, v, w = dis.u, dis.v, dis.w
     wn2 = float(w @ w)
-    if math.sqrt(wn2) < FLIP_TOL:
-        raise NotDissipative("|u x v| ~ 0; use the flip-regime propagator")
     f0 = float(dis.v_cross_w @ r0) / wn2
     g0 = float(dis.w_cross_u @ r0) / wn2
     h = 2.0 - (2.0 - float(r0 @ w) / wn2) * math.exp(-4.0 * gamma * t)

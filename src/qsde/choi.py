@@ -20,11 +20,10 @@ import logging
 import numpy as np
 
 from .channel import Coupling, Dissipative, bloch_to_rho, classify, evolve, kraus_flip
-from .linalg import IDENTITY_2, herm_eig, mat, psd_factor
+from .linalg import IDENTITY_2, herm_eig, psd_factor
 
 logger = logging.getLogger(__name__)
 
-CHOI_TOL = 1e-9
 KRAUS_DROP_TOL = 1e-9
 # Negative eigenvalue dust in this band is clipped with a warning; anything
 # below it is rejected as genuinely non-PSD.
@@ -45,48 +44,23 @@ def choi_of_channel(coupling: Coupling, t: float) -> np.ndarray:
     return np.block([[c00, c01], [c10, c11]])
 
 
-def partial_trace_second(m) -> np.ndarray:
-    """Trace out the second tensor factor of a 4x4 matrix."""
-    m = np.asarray(m, dtype=complex)
-    return np.array(
-        [
-            [m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-            [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]],
-        ]
-    )
+def kraus_of_choi(choi) -> tuple[list[np.ndarray], np.ndarray]:
+    """Kraus operators of a Choi matrix, and its descending spectrum.
 
-
-def _validate_choi(choi: np.ndarray) -> None:
-    if choi.shape != (4, 4):
-        raise ValueError(f"Choi matrix must be 4x4, got {choi.shape}")
-    trace_err = abs(complex(np.trace(choi)) - 2.0)
-    if trace_err > CHOI_TOL:
-        raise ValueError(f"Choi trace deviates from 2 by {trace_err:.3e}")
-    tp_err = float(np.max(np.abs(partial_trace_second(choi) - IDENTITY_2)))
-    if tp_err > CHOI_TOL:
-        raise ValueError(
-            f"channel is not trace preserving: |tr_2 choi - 1| = {tp_err:.3e}"
-        )
-
-
-def kraus_of_choi(choi) -> list[np.ndarray]:
-    """Extract Kraus operators from a Choi matrix.
-
-    Columns of the PSD factor S (S S^dag = choi) are reshaped into 2x2
+    Columns of the PSD factor S (S S^dag = choi) are un-stacked into 2x2
     operators; columns with max-norm below 1e-9 are dropped. One
-    eigendecomposition serves the dust warning and the factor. Raises NotPSD
-    (via the factorization) when the matrix is not PSD beyond dust level.
+    eigendecomposition serves the dust warning, the factor and the returned
+    spectrum. Raises NotPSD (via the factorization) when the matrix is not
+    PSD beyond dust level.
     """
-    choi = np.asarray(choi, dtype=complex)
-    _validate_choi(choi)
     values, vectors = herm_eig(choi)
     if values[-1] < CHOI_DUST_WARN:
         logger.warning(
             "clipping negative Choi eigenvalue %.3e to zero", float(values[-1])
         )
     s = psd_factor(values, vectors)
-    operators = [mat(s[:, i]) for i in range(s.shape[1])]
-    return [k for k in operators if float(np.max(np.abs(k))) >= KRAUS_DROP_TOL]
+    operators = [s[:, i].reshape(2, 2, order="F") for i in range(s.shape[1])]
+    return [k for k in operators if float(np.max(np.abs(k))) >= KRAUS_DROP_TOL], values
 
 
 def kraus_of_coupling(coupling: Coupling, t: float) -> list[np.ndarray]:
@@ -97,7 +71,7 @@ def kraus_of_coupling(coupling: Coupling, t: float) -> list[np.ndarray]:
     """
     cls = classify(coupling)
     if isinstance(cls, Dissipative):
-        return kraus_of_choi(choi_of_channel(coupling, t))
+        return kraus_of_choi(choi_of_channel(coupling, t))[0]
     return kraus_flip(cls.u_hat, coupling.gamma, t)
 
 

@@ -26,10 +26,7 @@ from .census import run_census
 from .channel import Coupling, Flip, asymptote, classify, evolve, family, family_appc
 from .choi import choi_of_channel, completeness_residual, kraus_of_choi
 from .errors import ConfigError, QsdeError
-from .linalg import HERMITIAN_TOL, herm_eig
-from .pair import (
-    DEFAULT_GRID_POINTS, DENSITY_TRACE_TOL, default_grid, initial_state, lambda_trajectory,
-)
+from .pair import DEFAULT_GRID_POINTS, check_state, default_grid, initial_state, lambda_trajectory
 from .sde import sde_check
 
 EXIT_OK = 0
@@ -197,16 +194,10 @@ def _state_from_file(path: str, field: str) -> np.ndarray:
         rho = np.array(rows, dtype=complex)
     except (TypeError, ValueError, IndexError):
         raise ConfigError(field, "state file must hold a 4x4 matrix of numbers or [re, im] pairs")
-    if rho.shape != (4, 4):
-        raise ConfigError(field, f"state matrix must be 4x4, got {rho.shape}")
-    if float(np.max(np.abs(rho - rho.conj().T))) > HERMITIAN_TOL:
-        raise ConfigError(field, f"state matrix is not Hermitian within {HERMITIAN_TOL:g}")
-    if abs(complex(np.trace(rho)) - 1.0) > DENSITY_TRACE_TOL:
-        raise ConfigError(field, f"state matrix trace must be 1 within {DENSITY_TRACE_TOL:g}")
-    smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < -1e-9:
-        raise ConfigError(field, f"state matrix has eigenvalue {smallest:.3e} < -1e-9")
-    return rho
+    try:
+        return check_state(rho)
+    except (QsdeError, ValueError) as exc:
+        raise ConfigError(field, str(exc))
 
 
 def _grid_from_spec(spec, field: str, gamma: float) -> np.ndarray:
@@ -380,12 +371,12 @@ def cmd_choi(cfg: dict) -> str:
     if t < 0.0:
         raise ConfigError("t", "time must be >= 0")
     choi = choi_of_channel(coupling, t)
-    kraus = kraus_of_choi(choi)
+    kraus, spectrum = kraus_of_choi(choi)
     payload = {
         "t": t,
         "gamma": gamma,
         "choi": _complex_pairs(choi),
-        "choi_eigenvalues": [float(v) for v in herm_eig(choi)[0]],
+        "choi_eigenvalues": [float(v) for v in spectrum],
         "kraus": [_complex_pairs(k) for k in kraus],
         "completeness_residual": completeness_residual(kraus),
     }
@@ -507,7 +498,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QsdeError, ValueError) as exc:
+    except (QsdeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

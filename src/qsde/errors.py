@@ -6,7 +6,7 @@ class QsdeError(Exception):
 
 
 class NotHermitian(QsdeError):
-    """Input matrix violates the Hermitian precondition."""
+    """A two-qubit state deviates from Hermitian beyond HERMITIAN_TOL."""
 
 
 class NotPSD(QsdeError):
@@ -17,20 +17,8 @@ class DegenerateCoupling(QsdeError):
     """Both coupling vectors vanish; no dynamics is defined."""
 
 
-class NotDissipative(QsdeError):
-    """Dissipative-regime formulas applied to a flip-type coupling."""
-
-
-class IncompleteKraus(QsdeError):
-    """Kraus operators fail the completeness relation sum K^dag K = 1."""
-
-
 class NotEntangled(QsdeError):
     """Operation requires an entangled initial state."""
-
-
-class WrongClass(QsdeError):
-    """Coupling class does not match the requested criterion."""
 
 
 class InvalidWeight(QsdeError):

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD
+from .errors import NotPSD
 
-HERMITIAN_TOL = 1e-10
 # Eigenvalues of a nominally PSD matrix below this bound are a hard error;
 # anything in [PSD_ABORT_TOL, 0) is numerical dust and gets clipped to zero.
 PSD_ABORT_TOL = -1e-8
@@ -31,28 +30,13 @@ def dot_sigma(r) -> np.ndarray:
     return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
 
 
-def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, which the caller guarantees.
 
     Returns ``(values, vectors)`` with real eigenvalues sorted in descending
     order and the matching orthonormal eigenvectors as columns, so that
     ``m = vectors @ diag(values) @ vectors.conj().T``.
-
-    Raises NotHermitian if ``max |m - m^dag|`` exceeds 1e-10.
     """
-    m = _as_square(m)
-    deviation = float(np.max(np.abs(m - m.conj().T)))
-    if deviation > HERMITIAN_TOL:
-        raise NotHermitian(
-            f"max |m - m^dag| = {deviation:.3e} exceeds {HERMITIAN_TOL:.0e}"
-        )
     values, vectors = np.linalg.eigh(m)
     return values[::-1].copy(), np.ascontiguousarray(vectors[:, ::-1])
 
@@ -90,11 +74,3 @@ def sqrt_psd(m) -> np.ndarray:
     values, vectors = herm_eig(m)
     return psd_factor(values, vectors) @ vectors.conj().T
 
-
-def mat(v) -> np.ndarray:
-    """Un-stack a column-stacked vector: (a, b, c, d) -> [[a, c], [b, d]]."""
-    v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F").copy()

@@ -24,9 +24,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .channel import AD_TOL, Coupling, Dissipative, Flip, classify
-from .errors import GridTooCoarse, NotEntangled, WrongClass
+from .errors import GridTooCoarse, NotEntangled
 from .linalg import IDENTITY_2
-from .pair import concurrence, default_grid, lambda_at, lambda_trajectory
+from .pair import check_state, concurrence, default_grid, lambda_at, lambda_trajectory
 
 ZERO_DIAGONAL_TOL = 1e-12
 # lam values inside (-CROSSING_FLOOR, CROSSING_FLOOR) count as zero, so only a
@@ -72,10 +72,6 @@ def rotation_for(u_hat) -> np.ndarray:
     its transverse part; any phase works on the axis u_hat = -z, where the
     transverse part vanishes.
     """
-    u_hat = np.asarray(u_hat, dtype=float)
-    norm_err = abs(float(np.linalg.norm(u_hat)) - 1.0)
-    if norm_err > 1e-9:
-        raise ValueError(f"u_hat must be a unit vector (|1 - |u_hat|| = {norm_err:.3e})")
     x, y, z = (float(c) for c in u_hat)
     if z >= 1.0 - 1e-12:
         return IDENTITY_2.copy()
@@ -105,12 +101,10 @@ def rotate_pair(rho0, u_hat1, u_hat2) -> np.ndarray:
 def predict_flip(rho0, u_hat1, u_hat2) -> SdeVerdict:
     """Necessary-and-sufficient sudden-death verdict for two flip couplings.
 
-    Requires an entangled rho0. The answer is yes exactly when the rotated
-    state has all four diagonal entries above ZERO_DIAGONAL_TOL.
+    rho0 must be entangled (sde_check establishes it). The answer is yes
+    exactly when the rotated state has all four diagonal entries above
+    ZERO_DIAGONAL_TOL.
     """
-    ent = concurrence(rho0)
-    if ent.concurrence <= 0.0:
-        raise NotEntangled("initial state has zero concurrence")
     diag = np.real(np.diag(rotate_pair(rho0, u_hat1, u_hat2)))
     smallest_product = float(min(diag[0] * diag[3], diag[1] * diag[2]))
     lam_inf = -2.0 * math.sqrt(max(smallest_product, 0.0)) + 0.0
@@ -119,19 +113,14 @@ def predict_flip(rho0, u_hat1, u_hat2) -> SdeVerdict:
 
 
 def predict_dissipative(c1: Coupling, c2: Coupling) -> SdeVerdict:
-    """Sufficient sudden-death verdict for two dissipative couplings.
+    """Sufficient sudden-death verdict for two couplings that are both dissipative.
 
     Yes whenever both |u x v| differ from 1/2 by more than AD_TOL; this
     holds for every entangled initial state. If either qubit sits on the
     amplitude-damping surface |w| = 1/2 the criterion does not decide and
     the verdict is "not-covered".
     """
-    magnitudes = []
-    for n, c in ((1, c1), (2, c2)):
-        cls = classify(c)
-        if not isinstance(cls, Dissipative):
-            raise WrongClass(f"coupling {n} is not dissipative")
-        magnitudes.append(float(np.linalg.norm(cls.w)))
+    magnitudes = [float(np.linalg.norm(classify(c).w)) for c in (c1, c2)]
     covered = all(abs(m - 0.5) > AD_TOL for m in magnitudes)
     product = 1.0
     for m in magnitudes:
@@ -196,9 +185,10 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     share a class, otherwise falls back to the numerical route. In every
     case the lam(t) trajectory is scanned and tau is filled when a crossing
     lies on the grid (the dissipative "not-covered" verdict can still come
-    with a finite tau).
+    with a finite tau). rho0 is checked here, once, by pair.check_state,
+    whose errors propagate; a separable rho0 raises NotEntangled.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = check_state(rho0)
     if concurrence(rho0).concurrence <= 0.0:
         raise NotEntangled("initial state has zero concurrence")
     cls1, cls2 = classify(c1), classify(c2)

@@ -103,6 +103,81 @@ def apply_channel(kraus: list[np.ndarray], rho) -> np.ndarray:
     return out
 
 
+def partial_trace_second(m) -> np.ndarray:
+    """Trace out the second tensor factor of a 4x4 matrix."""
+    m = np.asarray(m, dtype=complex)
+    return np.array(
+        [
+            [m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
+            [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]],
+        ]
+    )
+
+
+def _bloch_coefficients(u, v, g4):
+    """(a00, a01, a02, a11, a12, a22, bx, by, bz) of dr/dt = A r + b, for floats or arrays alike."""
+    ux, uy, uz = u
+    vx, vy, vz = v
+    wx = uy * vz - uz * vy
+    wy = uz * vx - ux * vz
+    wz = ux * vy - uy * vx
+    return (
+        g4 * (ux * ux + vx * vx - 1.0),
+        g4 * (ux * uy + vx * vy),
+        g4 * (ux * uz + vx * vz),
+        g4 * (uy * uy + vy * vy - 1.0),
+        g4 * (uy * uz + vy * vz),
+        g4 * (uz * uz + vz * vz - 1.0),
+        2.0 * g4 * wx,
+        2.0 * g4 * wy,
+        2.0 * g4 * wz,
+    )
+
+
+def _rk4_states(coefficients, start, times, dt: float) -> list[tuple]:
+    """Classical RK4 states (x, y, z) at each of the ascending ``times``.
+
+    Time t is reached by round(t / dt) steps of dt, plus one leftover step
+    when the remainder exceeds 1e-15, so every t gets the same arithmetic
+    as an integration from 0 to t alone. The state components and the
+    coefficients may be floats or equal-shape arrays (one entry per
+    coupling): the operations are elementwise either way.
+    """
+    a00, a01, a02, a11, a12, a22, bx, by, bz = coefficients
+
+    def rhs(px, py, pz):
+        return (
+            a00 * px + a01 * py + a02 * pz + bx,
+            a01 * px + a11 * py + a12 * pz + by,
+            a02 * px + a12 * py + a22 * pz + bz,
+        )
+
+    def step(x, y, z, h):
+        h2, h6 = 0.5 * h, h / 6.0
+        k1x, k1y, k1z = rhs(x, y, z)
+        k2x, k2y, k2z = rhs(x + h2 * k1x, y + h2 * k1y, z + h2 * k1z)
+        k3x, k3y, k3z = rhs(x + h2 * k2x, y + h2 * k2y, z + h2 * k2z)
+        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z)
+        return (
+            x + h6 * (k1x + 2.0 * (k2x + k3x) + k4x),
+            y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y),
+            z + h6 * (k1z + 2.0 * (k2z + k3z) + k4z),
+        )
+
+    state, done, out = tuple(start), 0, []
+    for t in times:
+        remaining = float(t)
+        n = int(round(remaining / dt)) if remaining > 0.0 else 0
+        if n < done:
+            raise ValueError("times must be ascending")
+        for _ in range(n - done):
+            state = step(*state, dt)
+        done = n
+        leftover = remaining - n * dt
+        out.append(step(*state, leftover) if abs(leftover) > 1e-15 else state)
+    return out
+
+
 def oracle_rk4(r0, coupling: Coupling, t_end: float, dt: float) -> np.ndarray:
     """Integrate dr/dt = 4 gamma {u (u.r) + v (v.r) + 2 w - r} with fixed-step RK4.
 
@@ -113,41 +188,24 @@ def oracle_rk4(r0, coupling: Coupling, t_end: float, dt: float) -> np.ndarray:
     gamma = coupling.gamma
     if dt > 1e-3 / gamma:
         raise ValueError("dt must be <= 1e-3 / gamma for the oracle")
-    ux, uy, uz = (float(c) for c in coupling.u)
-    vx, vy, vz = (float(c) for c in coupling.v)
-    wx = uy * vz - uz * vy
-    wy = uz * vx - ux * vz
-    wz = ux * vy - uy * vx
-    g4 = 4.0 * gamma
-    bx, by, bz = 2.0 * g4 * wx, 2.0 * g4 * wy, 2.0 * g4 * wz
-    a00 = g4 * (ux * ux + vx * vx - 1.0)
-    a01 = g4 * (ux * uy + vx * vy)
-    a02 = g4 * (ux * uz + vx * vz)
-    a11 = g4 * (uy * uy + vy * vy - 1.0)
-    a12 = g4 * (uy * uz + vy * vz)
-    a22 = g4 * (uz * uz + vz * vz - 1.0)
+    coefficients = _bloch_coefficients(
+        [float(c) for c in coupling.u], [float(c) for c in coupling.v], 4.0 * gamma
+    )
+    start = [float(c) for c in np.asarray(r0, dtype=float)]
+    return np.array(_rk4_states(coefficients, start, [t_end], dt)[0])
 
-    def rhs(px: float, py: float, pz: float):
-        return (
-            a00 * px + a01 * py + a02 * pz + bx,
-            a01 * px + a11 * py + a12 * pz + by,
-            a02 * px + a12 * py + a22 * pz + bz,
-        )
 
-    x, y, z = (float(c) for c in np.asarray(r0, dtype=float))
-    remaining = float(t_end)
-    n = int(round(remaining / dt)) if remaining > 0.0 else 0
-    steps = [dt] * n
-    leftover = remaining - n * dt
-    if abs(leftover) > 1e-15:
-        steps.append(leftover)
-    for h in steps:
-        h2, h6 = 0.5 * h, h / 6.0
-        k1x, k1y, k1z = rhs(x, y, z)
-        k2x, k2y, k2z = rhs(x + h2 * k1x, y + h2 * k1y, z + h2 * k1z)
-        k3x, k3y, k3z = rhs(x + h2 * k2x, y + h2 * k2y, z + h2 * k2z)
-        k4x, k4y, k4z = rhs(x + h * k3x, y + h * k3y, z + h * k3z)
-        x += h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += h6 * (k1z + 2.0 * (k2z + k3z) + k4z)
-    return np.array([x, y, z])
+def oracle_rk4_batch(r0s, couplings: list[Coupling], times, dt: float) -> np.ndarray:
+    """oracle_rk4 for every (r0, coupling) pair at once, at each of the ascending times.
+
+    Returns an array of shape (len(times), len(couplings), 3) whose entries
+    equal oracle_rk4(r0s[i], couplings[i], times[k], dt) bit for bit.
+    """
+    gamma = np.array([c.gamma for c in couplings])
+    if dt > 1e-3 / float(gamma.max()):
+        raise ValueError("dt must be <= 1e-3 / gamma for the oracle")
+    u = np.array([c.u for c in couplings], dtype=float).T
+    v = np.array([c.v for c in couplings], dtype=float).T
+    start = np.array(r0s, dtype=float).T
+    states = _rk4_states(_bloch_coefficients(u, v, 4.0 * gamma), start, times, dt)
+    return np.array([np.stack(s, axis=1) for s in states])

@@ -27,7 +27,7 @@ from qsde.sde import detect_tau, predict_dissipative, predict_flip, rotation_for
 from helpers import (
     apply_channel,
     master_rhs,
-    oracle_rk4,
+    oracle_rk4_batch,
     random_bloch,
     random_density2,
     random_dissipative_coupling,
@@ -61,16 +61,18 @@ def _report(name: str, ok: bool, detail: str = "") -> bool:
 def test_c01_closed_forms_match_rk4_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(20250101)
-    worst = 0.0
+    couplings, r0s = [], []
     for i in range(100):
-        if i < 50:
-            c = random_flip_coupling(rng)
-        else:
-            c = random_dissipative_coupling(rng)
-        r0 = random_bloch(rng)
-        for t in (0.5, 2.5, 5.0):
-            dev = float(np.max(np.abs(evolve(r0, c, t) - oracle_rk4(r0, c, t, 1e-4))))
-            worst = max(worst, dev)
+        couplings.append(random_flip_coupling(rng) if i < 50 else random_dissipative_coupling(rng))
+        r0s.append(random_bloch(rng))
+    times = (0.5, 2.5, 5.0)
+    # one pass integrates every coupling to t = 5, reading t = 0.5 and 2.5 on the way
+    rk4 = oracle_rk4_batch(r0s, couplings, times, 1e-4)
+    worst = max(
+        float(np.max(np.abs(evolve(r0, c, t) - rk4[k, i])))
+        for i, (r0, c) in enumerate(zip(r0s, couplings))
+        for k, t in enumerate(times)
+    )
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 30.0
     _report(
@@ -106,7 +108,7 @@ def test_c03_kraus_choi_round_trip():
         c = random_dissipative_coupling(rng) if rng.random() < 0.7 else random_flip_coupling(rng)
         t = 3.0 * rng.random()
         rho = random_density2(rng)
-        kraus = kraus_of_choi(choi_of_channel(c, t))
+        kraus, _ = kraus_of_choi(choi_of_channel(c, t))
         worst_completeness = max(worst_completeness, completeness_residual(kraus))
         direct = bloch_to_rho(evolve(rho_to_bloch(rho), c, t))
         dev = float(np.max(np.abs(apply_channel(kraus, rho) - direct)))

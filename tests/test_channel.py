@@ -17,7 +17,7 @@ from qsde.channel import (
     family_appc,
     kraus_flip,
 )
-from qsde.errors import DegenerateCoupling, NotDissipative
+from qsde.errors import DegenerateCoupling
 
 from helpers import (
     apply_channel,
@@ -178,12 +178,6 @@ def test_standard_amplitude_damping_from_origin():
         assert abs(float(r @ w_hat) - (1.0 - math.exp(-4.0 * t))) <= 1e-14
         rk4 = oracle_rk4(np.zeros(3), c, t, 1e-4)
         assert np.max(np.abs(r - rk4)) <= 1e-8
-
-
-def test_evolve_dissipative_rejects_flip():
-    degenerate = Dissipative(u=X, v=np.zeros(3), w=np.zeros(3), chi=0.5, q=0.5)
-    with pytest.raises(NotDissipative):
-        evolve_dissipative(X, degenerate, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import stat
 
 import numpy as np
@@ -573,3 +574,28 @@ def test_state_file_entry_that_is_not_a_number_is_config_error(tmp_path, capsys,
     )
     assert (code, stdout) == (2, "")
     assert err == f"error: state: {message}\n"
+
+
+def test_choi_decomposes_its_choi_matrix_once(monkeypatch, capsys):
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    code, stdout, _ = run_cli(["choi", "--coupling", "appc:0.5", "--t", "0.3"], capsys)
+    assert (code, len(calls)) == (0, 1)
+    # the cli-mix benchmark's capture of this command line, byte for byte
+    reference = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "choi.out"
+    assert stdout == reference.read_text(encoding="utf-8")
+
+
+def test_census_too_large_for_memory_is_a_one_line_error(capsys):
+    # 1e17 samples of five doubles exceed any 64-bit address space, so the
+    # allocation fails before anything is allocated
+    code, stdout, err = run_cli(["census", "--n", "1e17"], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

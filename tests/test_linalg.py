@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from qsde.errors import NotHermitian, NotPSD
+from qsde.errors import NotPSD
 from qsde.linalg import (
     PSD_ABORT_TOL,
     RELATIVE_SPECTRAL_ZERO,
     SIGMA_Z,
     herm_eig,
-    mat,
     psd_factor,
     psd_spectrum,
     sqrt_psd,
@@ -63,13 +62,6 @@ def test_random_hermitian_matches_bisection_oracle(seed):
     assert abs(vals.sum() - np.trace(h).real) <= 1e-10
 
 
-def test_herm_eig_rejects_non_hermitian():
-    m = np.eye(4, dtype=complex)
-    m[0, 1] = 1e-6
-    with pytest.raises(NotHermitian):
-        herm_eig(m)
-
-
 def test_psd_factor_identity():
     s = psd_factor(*herm_eig(np.eye(4, dtype=complex)))
     assert np.allclose(s @ s.conj().T, np.eye(4), atol=1e-12)
@@ -109,14 +101,6 @@ def test_sqrt_psd_squares_back(seed):
     root = sqrt_psd(psd)
     assert np.max(np.abs(root @ root - psd)) <= 1e-9
     assert np.max(np.abs(root - root.conj().T)) <= 1e-10
-
-
-def test_mat_inverts_vec_bit_exactly():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert np.array_equal(mat(x.reshape(-1, order="F")), x)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.array_equal(mat(v).reshape(-1, order="F"), v)
 
 
 def test_psd_factor_of_identity_channel_matrix_is_rank_one():

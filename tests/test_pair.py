@@ -12,7 +12,7 @@ from qsde.pair import (
     lambda_at,
     lambda_trajectory,
 )
-from qsde.errors import IncompleteKraus, InvalidWeight
+from qsde.errors import InvalidWeight
 from qsde.linalg import IDENTITY_2, dot_sigma
 
 from helpers import (
@@ -31,12 +31,6 @@ def test_evolve_pair_identity_channels():
     rho = initial_state("plus", 0.3)
     out = evolve_pair(rho, [IDENTITY_2], [IDENTITY_2])
     assert np.allclose(out, rho, atol=1e-15)
-
-
-def test_evolve_pair_rejects_incomplete_kraus():
-    rho = initial_state("plus", 0.3)
-    with pytest.raises(IncompleteKraus):
-        evolve_pair(rho, [0.5 * IDENTITY_2], [IDENTITY_2])
 
 
 def test_double_dephasing_scales_bell_coherence():

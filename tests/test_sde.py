@@ -13,7 +13,7 @@ from qsde.sde import (
     rotation_for,
     sde_check,
 )
-from qsde.errors import GridTooCoarse, NotEntangled, WrongClass
+from qsde.errors import GridTooCoarse, NotEntangled, NotHermitian, NotPSD
 from qsde.linalg import SIGMA_Z, dot_sigma
 
 from helpers import (
@@ -65,11 +65,6 @@ def test_rotation_property_random_axes(seed):
     assert np.max(np.abs(u @ SIGMA_Z @ u.conj().T - dot_sigma(axis))) <= 1e-10
 
 
-def test_rotation_rejects_non_unit():
-    with pytest.raises(ValueError):
-        rotation_for(np.array([0.0, 0.0, 0.5]))
-
-
 # ---------------------------------------------------------------------------
 # Flip criterion
 
@@ -105,11 +100,6 @@ def test_flip_criterion_mismatched_axes_from_rotated_diagonal():
     tau = detect_tau(traj, lambda t: lambda_at(rho, flip_coupling(X), flip_coupling(Z), t))
     assert tau is not None
     assert abs(lambda_at(rho, flip_coupling(X), flip_coupling(Z), tau)) <= 1e-6
-
-
-def test_flip_criterion_rejects_separable_state():
-    with pytest.raises(NotEntangled):
-        predict_flip(np.diag([1.0, 0, 0, 0]).astype(complex), Z, Z)
 
 
 def test_rotated_state_unitaries_satisfy_defining_property():
@@ -172,11 +162,6 @@ def test_dissipative_criterion_small_w_limit():
     verdict = predict_dissipative(c, c)
     assert verdict.predicted == "yes"
     assert abs(verdict.lambda_inf + 0.5) <= 1e-6
-
-
-def test_dissipative_criterion_rejects_flip():
-    with pytest.raises(WrongClass):
-        predict_dissipative(flip_coupling(Z), family_appc(-math.pi / 4))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -315,3 +300,48 @@ def test_sde_check_mixed_classes_numerical():
 def test_sde_check_rejects_separable():
     with pytest.raises(NotEntangled):
         sde_check(np.eye(4, dtype=complex) / 4.0, flip_coupling(Z), flip_coupling(Z))
+
+
+def test_sde_check_validates_rho0_exactly_once(monkeypatch):
+    import qsde.pair
+    import qsde.sde
+
+    calls = []
+    original = qsde.pair.check_state
+
+    def counting(rho):
+        calls.append(1)
+        return original(rho)
+
+    # both names: the one sde_check calls, and any call made inside pair
+    monkeypatch.setattr(qsde.sde, "check_state", counting)
+    monkeypatch.setattr(qsde.pair, "check_state", counting)
+    verdict = sde_check(initial_state("minus", 0.3), family_appc(0.3), family_appc(-math.pi / 5))
+    assert verdict.method == "dissipative-criterion"
+    assert len(calls) == 1
+
+
+def _bell_with_dust(eps: float) -> np.ndarray:
+    # Phi+ plus eps on |01><01| and -eps on |10><10|: trace 1, one eigenvalue -eps
+    return initial_state("plus", 0.5) + np.diag([0.0, eps, -eps, 0.0])
+
+
+@pytest.mark.parametrize(
+    "rho, error, message",
+    [
+        (initial_state("plus", 0.5) + np.triu(np.full((4, 4), 1e-6), 1), NotHermitian,
+         "state matrix is not Hermitian within 1e-10"),
+        (np.eye(4) / 3.0, ValueError, "state matrix trace must be 1 within 1e-10"),
+        (_bell_with_dust(2e-9), NotPSD, "state matrix has eigenvalue -2.000e-09 < -1e-9"),
+    ],
+    ids=["not-hermitian", "trace-4/3", "eigenvalue-minus-2e-9"],
+)
+def test_sde_check_applies_the_state_rule_with_the_cli_text(rho, error, message):
+    with pytest.raises(error) as info:
+        sde_check(rho, family_appc(0.3), family_appc(0.3))
+    assert str(info.value) == message
+
+
+def test_state_rule_accepts_dust_above_its_floor():
+    verdict = sde_check(_bell_with_dust(5e-10), flip_coupling(Z), flip_coupling(Z))
+    assert verdict.method == "flip-criterion"
