@@ -102,6 +102,19 @@ def test_flip_criterion_mismatched_axes_from_rotated_diagonal():
     assert abs(lambda_at(rho, flip_coupling(X), flip_coupling(Z), tau)) <= 1e-6
 
 
+def test_flip_criterion_rejects_separable_state(monkeypatch):
+    # The flip criterion takes an entangled rho0 on trust; sde_check must
+    # reject a product state before predict_flip ever sees it.
+    import qsde.sde
+
+    def unreachable(*args):
+        raise AssertionError("predict_flip reached with a separable state")
+
+    monkeypatch.setattr(qsde.sde, "predict_flip", unreachable)
+    with pytest.raises(NotEntangled):
+        sde_check(np.diag([1.0, 0, 0, 0]).astype(complex), flip_coupling(Z), flip_coupling(Z))
+
+
 def test_rotated_state_unitaries_satisfy_defining_property():
     rng = np.random.default_rng(9)
     rho, _ = random_pure_pair(rng)
