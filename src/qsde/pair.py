@@ -61,12 +61,15 @@ def initial_state(kind: str, alpha_sq: float) -> np.ndarray:
 def check_state(rho) -> np.ndarray:
     """The two-qubit state rule, applied once where a state enters the library.
 
-    Returns rho as a complex array when it is 4x4, Hermitian within
-    HERMITIAN_TOL, of trace 1 within DENSITY_TRACE_TOL and has no eigenvalue
-    below -1e-9. Otherwise raises ValueError (shape, trace), NotHermitian or
-    NotPSD. Functions past this point trust the states they are given.
+    Returns rho as a complex array when its entries are finite and it is
+    4x4, Hermitian within HERMITIAN_TOL, of trace 1 within DENSITY_TRACE_TOL
+    and has no eigenvalue below -1e-9. Otherwise raises ValueError
+    (non-finite entries, shape, trace), NotHermitian or NotPSD. Functions
+    past this point trust the states they are given.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("state matrix entries must be finite")
     if rho.shape != (4, 4):
         raise ValueError(f"state matrix must be 4x4, got {rho.shape}")
     if float(np.max(np.abs(rho - rho.conj().T))) > HERMITIAN_TOL:

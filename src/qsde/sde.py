@@ -3,9 +3,10 @@
 Two closed-form criteria cover the pure regimes:
 
 * flip couplings on both qubits -- sudden death occurs if and only if the
-  initial state, rotated qubit-wise into the frame where each flip axis is
-  z, has no zeros on its diagonal. The long-time limit of lam is
-  -2 sqrt(min(d1 d4, d2 d3)) in terms of that rotated diagonal.
+  initial state puts positive weight d[s1 s2] = tr[rho0 P_s1(a1) (x) P_s2(a2)]
+  on all four products of the flip-axis eigenstates, where
+  P_s(a) = (1 + s a . sigma) / 2. The long-time limit of lam is
+  -2 sqrt(min(d++ d--, d+- d-+)).
 * dissipative couplings on both qubits -- |u x v| != 1/2 on both qubits is
   sufficient for sudden death from any entangled initial state, with
   lam_inf = -1/2 sqrt((1 - |2 w1|^2)(1 - |2 w2|^2)). When some |w| = 1/2
@@ -23,11 +24,13 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .channel import AD_TOL, Coupling, Dissipative, Flip, classify
+from .channel import AD_TOL, Coupling, Dissipative, Flip, bloch_to_rho, classify
 from .errors import GridTooCoarse, NotEntangled
-from .linalg import IDENTITY_2
 from .pair import check_state, concurrence, default_grid, lambda_at, lambda_trajectory
 
+# A flip-axis weight at or below this counts as zero. Each weight is a trace of
+# products with no square root, so its rounding error is about eps * |rho0| ~
+# 1e-16: an exact zero reads four orders of magnitude below this bound.
 ZERO_DIAGONAL_TOL = 1e-12
 # lam values inside (-CROSSING_FLOOR, CROSSING_FLOOR) count as zero, so only a
 # drop below -CROSSING_FLOOR counts as a genuine sign change. The floor keeps
@@ -65,50 +68,18 @@ class SdeVerdict:
         return asdict(self)
 
 
-def rotation_for(u_hat) -> np.ndarray:
-    """2x2 unitary U with U sz U^dag = u_hat . sigma; exactly 1 for u_hat = z.
-
-    Built from the half-angle of u_hat against z and the azimuthal phase of
-    its transverse part; any phase works on the axis u_hat = -z, where the
-    transverse part vanishes.
-    """
-    x, y, z = (float(c) for c in u_hat)
-    if z >= 1.0 - 1e-12:
-        return IDENTITY_2.copy()
-    half = 0.5 * math.acos(max(-1.0, min(1.0, z)))
-    sin_h, cos_h = math.sin(half), math.cos(half)
-    transverse = math.hypot(x, y)
-    phase = complex(x, y) / transverse if transverse > 0.0 else 1.0 + 0.0j
-    return np.array(
-        [
-            [cos_h, -phase.conjugate() * sin_h],
-            [phase * sin_h, cos_h],
-        ],
-        dtype=complex,
-    )
-
-
-def rotate_pair(rho0, u_hat1, u_hat2) -> np.ndarray:
-    """Conjugate a two-qubit state by (U1 (x) U2)^dag with U_n from rotation_for.
-
-    The result is the state in the frame where both flip axes point along z.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    big = np.kron(rotation_for(u_hat1), rotation_for(u_hat2))
-    return big.conj().T @ rho0 @ big
-
-
 def predict_flip(rho0, u_hat1, u_hat2) -> SdeVerdict:
     """Necessary-and-sufficient sudden-death verdict for two flip couplings.
 
     rho0 must be entangled (sde_check establishes it). The answer is yes
-    exactly when the rotated state has all four diagonal entries above
-    ZERO_DIAGONAL_TOL.
+    exactly when the weights d[s1 s2] = tr[rho0 P_s1(u_hat1) (x) P_s2(u_hat2)],
+    with P_s(a) = bloch_to_rho(s a), all exceed ZERO_DIAGONAL_TOL.
     """
-    diag = np.real(np.diag(rotate_pair(rho0, u_hat1, u_hat2)))
-    smallest_product = float(min(diag[0] * diag[3], diag[1] * diag[2]))
-    lam_inf = -2.0 * math.sqrt(max(smallest_product, 0.0)) + 0.0
-    predicted = "yes" if bool(np.all(diag > ZERO_DIAGONAL_TOL)) else "no"
+    signs = (1.0, -1.0)
+    d = [float(np.trace(rho0 @ np.kron(bloch_to_rho(s1 * u_hat1), bloch_to_rho(s2 * u_hat2))).real)
+         for s1 in signs for s2 in signs]
+    lam_inf = -2.0 * math.sqrt(max(min(d[0] * d[3], d[1] * d[2]), 0.0)) + 0.0
+    predicted = "yes" if min(d) > ZERO_DIAGONAL_TOL else "no"
     return SdeVerdict(predicted, lam_inf, None, METHOD_FLIP)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from qsde.census import uv_from_draws
 from qsde.channel import Coupling, bloch_to_rho
+from qsde.linalg import dot_sigma
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -68,6 +69,16 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def axis_frame(a) -> np.ndarray:
+    """Unitary U with U sz U^dag = a . sigma, from the eigenvectors of a . sigma.
+
+    The columns are the +1 and -1 eigenvectors of a . sigma for a unit
+    vector a, so U maps |0> and |1> onto the flip-axis eigenstates.
+    """
+    _, vectors = np.linalg.eigh(dot_sigma(a))
+    return vectors[:, ::-1]
 
 
 def random_hermitian(rng: np.random.Generator, d: int = 4) -> np.ndarray:

@@ -22,10 +22,11 @@ from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
 from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory
-from qsde.sde import detect_tau, predict_dissipative, predict_flip, rotation_for
+from qsde.sde import detect_tau, predict_dissipative, predict_flip
 
 from helpers import (
     apply_channel,
+    axis_frame,
     master_rhs,
     oracle_rk4_batch,
     random_bloch,
@@ -220,7 +221,7 @@ def test_c06_flip_criterion_equivalence_200_cases():
             rho, _ = random_pure_pair(rng, min_concurrence=0.2)
         else:
             canonical = initial_state("plus", 0.2 + 0.6 * rng.random())
-            big = np.kron(rotation_for(a1), rotation_for(a2))
+            big = np.kron(axis_frame(a1), axis_frame(a2))
             rho = big @ canonical @ big.conj().T
         c1 = Coupling(u=a1, v=np.zeros(3))
         c2 = Coupling(u=a2, v=np.zeros(3))

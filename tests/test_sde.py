@@ -9,14 +9,13 @@ from qsde.sde import (
     detect_tau,
     predict_dissipative,
     predict_flip,
-    rotate_pair,
-    rotation_for,
     sde_check,
 )
 from qsde.errors import GridTooCoarse, NotEntangled, NotHermitian, NotPSD
 from qsde.linalg import SIGMA_Z, dot_sigma
 
 from helpers import (
+    axis_frame,
     oracle_rk4,
     random_bloch,
     random_coupling,
@@ -36,11 +35,7 @@ def flip_coupling(axis) -> Coupling:
 
 
 # ---------------------------------------------------------------------------
-# Rotation to the z-axis frame
-
-
-def test_rotation_for_z_is_exact_identity():
-    assert np.array_equal(rotation_for(Z), np.eye(2, dtype=complex))
+# The flip-axis frame that builds the zero-weight test states
 
 
 @pytest.mark.parametrize(
@@ -53,7 +48,7 @@ def test_rotation_for_z_is_exact_identity():
     ],
 )
 def test_rotation_property_named_axes(axis):
-    u = rotation_for(axis)
+    u = axis_frame(axis)
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
     assert np.max(np.abs(u @ SIGMA_Z @ u.conj().T - dot_sigma(axis))) <= 1e-10
 
@@ -61,7 +56,7 @@ def test_rotation_property_named_axes(axis):
 @pytest.mark.parametrize("seed", range(10))
 def test_rotation_property_random_axes(seed):
     axis = random_unit(np.random.default_rng(1200 + seed))
-    u = rotation_for(axis)
+    u = axis_frame(axis)
     assert np.max(np.abs(u @ SIGMA_Z @ u.conj().T - dot_sigma(axis))) <= 1e-10
 
 
@@ -89,17 +84,30 @@ def test_flip_criterion_werner_state_yes():
 
 
 def test_flip_criterion_mismatched_axes_from_rotated_diagonal():
-    # Bell state with axes x and z: the rotated diagonal is strictly
-    # positive, so sudden death must occur; cross-check numerically
+    # Bell state with axes x and z: every flip-axis weight is 1/4, so sudden
+    # death must occur with lam_inf = -2 sqrt(1/16); cross-check numerically
     rho = initial_state("plus", 0.5)
-    diag = np.real(np.diag(rotate_pair(rho, X, Z)))
-    assert np.all(diag > 1e-12)
     verdict = predict_flip(rho, X, Z)
     assert verdict.predicted == "yes"
+    assert abs(verdict.lambda_inf + 0.5) <= 1e-15
     traj = lambda_trajectory(rho, flip_coupling(X), flip_coupling(Z), np.linspace(0, 10, 201))
     tau = detect_tau(traj, lambda t: lambda_at(rho, flip_coupling(X), flip_coupling(Z), t))
     assert tau is not None
     assert abs(lambda_at(rho, flip_coupling(X), flip_coupling(Z), tau)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "theta, predicted, lambda_inf",
+    [(2e-6, "yes", None), (1e-6, "no", -1.000044450290879e-12)],
+)
+def test_flip_criterion_zero_weight_boundary(theta, predicted, lambda_inf):
+    # minus:0.5 with both axes tilted from z by theta has d++ = d-- =
+    # sin(theta)^2 / 2: 2e-12 and 5e-13 here, either side of ZERO_DIAGONAL_TOL
+    axis = np.array([math.sin(theta), 0.0, math.cos(theta)])
+    verdict = predict_flip(initial_state("minus", 0.5), axis, axis)
+    assert verdict.predicted == predicted
+    if lambda_inf is not None:
+        assert abs(verdict.lambda_inf - lambda_inf) <= 1e-15
 
 
 def test_flip_criterion_rejects_separable_state(monkeypatch):
@@ -115,28 +123,17 @@ def test_flip_criterion_rejects_separable_state(monkeypatch):
         sde_check(np.diag([1.0, 0, 0, 0]).astype(complex), flip_coupling(Z), flip_coupling(Z))
 
 
-def test_rotated_state_unitaries_satisfy_defining_property():
-    rng = np.random.default_rng(9)
-    rho, _ = random_pure_pair(rng)
-    a1, a2 = random_unit(rng), random_unit(rng)
-    unitaries = (rotation_for(a1), rotation_for(a2))
-    for u, axis in zip(unitaries, (a1, a2)):
-        assert np.max(np.abs(u @ SIGMA_Z @ u.conj().T - dot_sigma(axis))) <= 1e-10
-    big = np.kron(*unitaries)
-    assert np.max(np.abs(big @ rotate_pair(rho, a1, a2) @ big.conj().T - rho)) <= 1e-12
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_flip_criterion_matches_numerics(seed):
     # random axes; even seeds use generic entangled states (verdict yes),
-    # odd seeds use states with an exact zero on the rotated diagonal
+    # odd seeds use states with an exact zero flip-axis weight
     rng = np.random.default_rng(1300 + seed)
     a1, a2 = random_unit(rng), random_unit(rng)
     if seed % 2 == 0:
         rho, _ = random_pure_pair(rng, min_concurrence=0.2)
     else:
         canonical = initial_state("plus", 0.3 + 0.4 * rng.random())
-        big = np.kron(rotation_for(a1), rotation_for(a2))
+        big = np.kron(axis_frame(a1), axis_frame(a2))
         rho = big @ canonical @ big.conj().T
     verdict = predict_flip(rho, a1, a2)
     c1, c2 = flip_coupling(a1), flip_coupling(a2)
@@ -146,6 +143,7 @@ def test_flip_criterion_matches_numerics(seed):
         lambda t: lambda_at(rho, c1, c2, t),
         lambda_inf=verdict.lambda_inf,
     )
+    assert verdict.predicted == ("yes" if seed % 2 == 0 else "no")
     assert (tau is not None) == (verdict.predicted == "yes")
     assert abs(verdict.lambda_inf - lambda_at(rho, c1, c2, 20.0)) <= 1e-6
 
@@ -353,6 +351,14 @@ def test_sde_check_applies_the_state_rule_with_the_cli_text(rho, error, message)
     with pytest.raises(error) as info:
         sde_check(rho, family_appc(0.3), family_appc(0.3))
     assert str(info.value) == message
+
+
+def test_sde_check_rejects_a_nan_state_entry_by_name():
+    rho = initial_state("plus", 0.5)
+    rho[1, 1] = np.nan
+    with pytest.raises(ValueError, match="^state matrix entries must be finite$") as info:
+        sde_check(rho, flip_coupling(Z), flip_coupling(Z))
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_state_rule_accepts_dust_above_its_floor():
