@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import AD_TOL, FLIP_TOL
+from .errors import InvalidInput
 
 _DRAWS_PER_SAMPLE = 5
 
@@ -88,9 +89,9 @@ def run_census(n: int, seed: int = 0) -> CensusReport:
     sample, so a run of n samples is a prefix of any longer run.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n", "n must be >= 1")
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+        raise InvalidInput("seed", f"seed must be >= 0, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     u, v = uv_from_draws(rng.random((n, _DRAWS_PER_SAMPLE)))
     n_flip, n_ad, min_ad = count_hits(u, v)

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCoupling
+from .errors import InvalidInput
 from .linalg import IDENTITY_2, dot_sigma
 
 NORMALIZATION_TOL = 1e-12
@@ -42,9 +42,9 @@ AD_TOL = 1e-9
 def _vector3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,):
-        raise ValueError(f"{name} must be a real 3-vector, got shape {arr.shape}")
+        raise InvalidInput(name, f"must be a real 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise InvalidInput(name, "must be finite")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -67,13 +67,13 @@ class Coupling:
         v = _vector3(self.v, "v")
         norm2 = float(u @ u + v @ v)
         if norm2 < NORMALIZATION_TOL:
-            raise DegenerateCoupling("u and v are both zero vectors")
+            raise InvalidInput("coupling", "u and v are both zero vectors")
         if abs(norm2 - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"|u|^2 + |v|^2 = {norm2!r} must equal 1 within {NORMALIZATION_TOL:.0e}"
+            raise InvalidInput(
+                "coupling", f"|u|^2 + |v|^2 = {norm2!r} must equal 1 within {NORMALIZATION_TOL:.0e}"
             )
         if not (float(self.gamma) > 0.0):
-            raise ValueError("gamma must be positive")
+            raise InvalidInput("gamma", "gamma must be positive")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "gamma", float(self.gamma))

@@ -24,7 +24,6 @@ from .linalg import IDENTITY_2, herm_eig, psd_factor
 
 logger = logging.getLogger(__name__)
 
-KRAUS_DROP_TOL = 1e-9
 # Negative eigenvalue dust in this band is clipped with a warning; anything
 # below it is rejected as genuinely non-PSD.
 CHOI_DUST_WARN = -1e-12
@@ -48,10 +47,10 @@ def kraus_of_choi(choi) -> tuple[list[np.ndarray], np.ndarray]:
     """Kraus operators of a Choi matrix, and its descending spectrum.
 
     Columns of the PSD factor S (S S^dag = choi) are un-stacked into 2x2
-    operators; columns with max-norm below 1e-9 are dropped. One
-    eigendecomposition serves the dust warning, the factor and the returned
-    spectrum. Raises NotPSD (via the factorization) when the matrix is not
-    PSD beyond dust level.
+    operators; the zero columns, of eigenvalues the PSD rule snapped to
+    zero, are dropped. One eigendecomposition serves the dust warning, the
+    factor and the returned spectrum. Raises NotPSD (via the factorization)
+    when the matrix is not PSD beyond dust level.
     """
     values, vectors = herm_eig(choi)
     if values[-1] < CHOI_DUST_WARN:
@@ -60,7 +59,10 @@ def kraus_of_choi(choi) -> tuple[list[np.ndarray], np.ndarray]:
         )
     s = psd_factor(values, vectors)
     operators = [s[:, i].reshape(2, 2, order="F") for i in range(s.shape[1])]
-    return [k for k in operators if float(np.max(np.abs(k))) >= KRAUS_DROP_TOL], values
+    # A column is sqrt(snapped eigenvalue) times a unit vector: zero exactly when the
+    # PSD rule snapped it, else of max-abs >= sqrt(64 eps lam_max) / 2 ~ 4.2e-8, since
+    # the trace 2 gives lam_max >= 1/2 and a unit 4-vector has an entry >= 1/2.
+    return [k for k in operators if float(np.max(np.abs(k))) > 0.0], values
 
 
 def kraus_of_coupling(coupling: Coupling, t: float) -> list[np.ndarray]:

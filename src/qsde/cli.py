@@ -6,7 +6,7 @@ flags taking precedence. All numeric output uses 17 significant digits so
 files round-trip double precision exactly; files are written to a
 temporary name and atomically renamed, so failures never leave partial
 output behind. Exit codes: 0 success, 1 numerical failure, 2 invalid
-configuration.
+input (errors.InvalidInput, from the CLI's readers or the library).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .census import run_census
 from .channel import Coupling, Flip, asymptote, classify, evolve, family, family_appc
 from .choi import choi_of_channel, completeness_residual, kraus_of_choi
-from .errors import ConfigError, QsdeError
+from .errors import InvalidInput, QsdeError
 from .pair import DEFAULT_GRID_POINTS, check_state, default_grid, initial_state, lambda_trajectory
 from .sde import sde_check
 
@@ -46,43 +46,35 @@ def _complex_pairs(m: np.ndarray) -> list:
 # Config plumbing
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str, field: str, what: str = ""):
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError("config", str(exc))
+        raise InvalidInput(field, str(exc))
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    return cfg
+        raise InvalidInput(field, f"invalid JSON{what}: {exc}")
+
+
+# Readers: each reads one kind of value, config value or flag text alike.
 
 
 def _number(value, field: str) -> float:
-    """A finite config number; JSON true/false are not numbers, though float() takes them."""
+    """A finite number; JSON true/false are not numbers, though float() takes them."""
     try:
         if isinstance(value, bool):
             raise TypeError
         out = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a number, got {value!r}")
+        raise InvalidInput(field, f"expected a number, got {value!r}")
     if not math.isfinite(out):
-        raise ConfigError(field, "value must be finite")
+        raise InvalidInput(field, "value must be finite")
     return out
 
 
-def _need_float(cfg: dict, field: str, default=None) -> float:
-    value = cfg.get(field, default)
-    if value is None:
-        raise ConfigError(field, "required value is missing")
-    return _number(value, field)
-
-
-def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> int:
-    """An integer config value; an integral number such as JSON's 1e3 counts, as text too."""
-    field = field or key
-    value = number = cfg.get(key, default)
+def _integer(value, field: str) -> int:
+    """An integer; an integral number such as JSON's 1e3 counts, as text too."""
+    number = value
     if isinstance(value, str):  # flag text or a config string; int() keeps big seeds exact
         try:
             number = int(value)
@@ -94,95 +86,97 @@ def _need_int(cfg: dict, key: str, default=None, field: str | None = None) -> in
             raise ValueError
         return int(number)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
+        raise InvalidInput(field, f"expected an integer, got {value!r}")
+
+
+def _numbers(value, field: str) -> list[float]:
+    """Finite numbers from a JSON list or from comma-separated text (empty items are skipped)."""
+    if isinstance(value, str):
+        value = [item for item in value.split(",") if item.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInput(field, f"expected a list of numbers, got {value!r}")
+    return [_number(x, field) for x in value]
 
 
 def _vec3(value, field: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(field, f"expected a finite 3-vector, got {value!r}")
-    return np.array([_number(x, field) for x in value])
+    vec = _numbers(value, field)
+    if len(vec) != 3:
+        raise InvalidInput(field, f"expected a finite 3-vector, got {value!r}")
+    return np.array(vec)
 
 
-def _parse_floats(text: str, field: str) -> list[float]:
+def _times(value, field: str) -> list[float]:
+    times = _numbers(value, field)
+    if not times:
+        raise InvalidInput(field, "at least one time is required")
+    if min(times) < 0.0:
+        raise InvalidInput(field, "times must be finite and >= 0")
+    return times
+
+
+def _get(spec: dict, key: str, read, default=None, within: str | None = None):
+    """spec[key], or default, through read; a value nested in the spec ``within`` is named within.key."""
+    field = f"{within}.{key}" if within else key
+    value = spec.get(key, default)
+    if value is None:
+        raise InvalidInput(field, "required value is missing")
+    return read(value, field)
+
+
+@contextlib.contextmanager
+def _reported_as(field: str, nested: bool = False):
+    """Report a library InvalidInput as ``field``, or as ``field.argument`` when ``nested``."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(field, f"expected comma-separated numbers, got {text!r}")
+        yield
+    except InvalidInput as exc:
+        raise InvalidInput(f"{field}.{exc.field}" if nested else field, exc.message) from None
 
 
-def _coupling_spec_from_string(text: str, field: str) -> dict:
-    kind, _, rest = text.partition(":")
-    if kind == "uv":
-        u_txt, _, v_txt = rest.partition(";")
-        return {"type": "uv", "u": _parse_floats(u_txt, field), "v": _parse_floats(v_txt, field)}
-    if kind == "family":
-        vals = _parse_floats(rest, field)
-        if len(vals) != 2:
-            raise ConfigError(field, "family takes exactly theta,phi")
-        return {"type": "family", "theta": vals[0], "phi": vals[1]}
-    if kind == "appc":
-        vals = _parse_floats(rest, field)
-        if len(vals) != 1:
-            raise ConfigError(field, "appc takes exactly one theta")
-        return {"type": "family_appc", "theta": vals[0]}
-    raise ConfigError(field, f"unknown coupling form {kind!r} (use uv:/family:/appc:)")
+# coupling spec type -> (its flag form, the separator of the form's values,
+# the function that makes the Coupling, its arguments with their readers)
+_COUPLINGS = {
+    "uv": ("uv", ";", Coupling, (("u", _vec3), ("v", _vec3))),
+    "family": ("family", ",", family, (("theta", _number), ("phi", _number))),
+    "family_appc": ("appc", ",", family_appc, (("theta", _number),)),
+}
 
 
-def _coupling_from_spec(spec, field: str, gamma: float) -> Coupling:
+def _coupling(spec, field: str, gamma: float) -> Coupling:
     if isinstance(spec, str):
-        spec = _coupling_spec_from_string(spec, field)
+        form, _, rest = spec.partition(":")
+        kind = next((k for k, entry in _COUPLINGS.items() if entry[0] == form), None)
+        if kind is None:
+            raise InvalidInput(field, f"unknown coupling form {form!r} (use uv:/family:/appc:)")
+        _, sep, _, args = _COUPLINGS[kind]
+        names = [name for name, _ in args]
+        values = rest.split(sep)
+        if sep == ",":  # a list of numbers: empty items are skipped, as _numbers does
+            values = [item for item in values if item.strip()]
+        if len(values) != len(names):
+            raise InvalidInput(field, f"{form} takes exactly {sep.join(names)}")
+        spec = {"type": kind, **dict(zip(names, values))}
     if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError(field, "coupling spec must be an object with a 'type'")
+        raise InvalidInput(field, "coupling spec must be an object with a 'type'")
     kind = spec["type"]
-    try:
-        if kind == "uv":
-            return Coupling(
-                u=_vec3(spec.get("u"), f"{field}.u"),
-                v=_vec3(spec.get("v"), f"{field}.v"),
-                gamma=gamma,
-            )
-        if kind == "family":
-            return family(_need_float(spec, "theta"), _need_float(spec, "phi"), gamma=gamma)
-        if kind == "family_appc":
-            return family_appc(_need_float(spec, "theta"), gamma=gamma)
-    except ConfigError:
-        raise
-    except (ValueError, QsdeError) as exc:
-        raise ConfigError(field, str(exc))
-    raise ConfigError(field, f"unknown coupling type {kind!r}")
+    if not isinstance(kind, str) or kind not in _COUPLINGS:
+        raise InvalidInput(field, f"unknown coupling type {kind!r}")
+    _, _, build, args = _COUPLINGS[kind]
+    values = [_get(spec, name, read, within=field) for name, read in args]
+    with _reported_as(field):
+        return build(*values, gamma=gamma)
 
 
-def _state_from_spec(spec, field: str) -> np.ndarray:
+def _state(spec, field: str) -> np.ndarray:
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
-        if kind == "file":
-            spec = {"file": rest}
-        else:
-            try:
-                spec = {"kind": kind, "alpha_sq": float(rest)}
-            except ValueError:
-                raise ConfigError(field, f"expected kind:alpha_sq or file:path, got {spec!r}")
+        spec = {"file": rest} if kind == "file" else {"kind": kind, "alpha_sq": rest}
     if not isinstance(spec, dict):
-        raise ConfigError(field, "state spec must be an object or spec string")
-    if "file" in spec:
-        return _state_from_file(spec["file"], field)
-    kind = spec.get("kind")
-    if kind not in ("plus", "minus"):
-        raise ConfigError(field, f"state kind must be 'plus' or 'minus', got {kind!r}")
-    alpha_sq = _need_float(spec, "alpha_sq")
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ConfigError(f"{field}.alpha_sq", f"{alpha_sq!r} outside [0, 1]")
-    return initial_state(kind, alpha_sq)
-
-
-def _state_from_file(path: str, field: str) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(field, str(exc))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(field, f"invalid JSON in state file: {exc}")
+        raise InvalidInput(field, "state spec must be an object or spec string")
+    if "file" not in spec:
+        alpha_sq = _get(spec, "alpha_sq", _number, within=field)
+        with _reported_as(field, nested=True):
+            return initial_state(spec.get("kind"), alpha_sq)
+    payload = _read_json(spec["file"], field, " in state file")
     raw = payload.get("matrix") if isinstance(payload, dict) else payload
     try:
         rows = [
@@ -192,49 +186,34 @@ def _state_from_file(path: str, field: str) -> np.ndarray:
             for row in raw
         ]
         rho = np.array(rows, dtype=complex)
+    except InvalidInput:  # an entry's own error, which names the field already
+        raise
     except (TypeError, ValueError, IndexError):
-        raise ConfigError(field, "state file must hold a 4x4 matrix of numbers or [re, im] pairs")
-    try:
+        raise InvalidInput(field, "state file must hold a 4x4 matrix of numbers or [re, im] pairs")
+    with _reported_as(field):
         return check_state(rho)
-    except (QsdeError, ValueError) as exc:
-        raise ConfigError(field, str(exc))
 
 
-def _grid_from_spec(spec, field: str, gamma: float) -> np.ndarray:
+def _grid(spec, field: str, gamma: float) -> np.ndarray:
     if spec is None:
         return default_grid(gamma)
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(field, f"expected start:end:points, got {spec!r}")
+            raise InvalidInput(field, f"expected start:end:points, got {spec!r}")
         spec = {"start": parts[0], "end": parts[1], "points": parts[2]}
     if not isinstance(spec, dict):
-        raise ConfigError(field, "grid spec must be an object or start:end:points")
-    start = _need_float(spec, "start", 0.0)
-    end = _need_float(spec, "end")
-    points = _need_int(spec, "points", DEFAULT_GRID_POINTS, f"{field}.points")
+        raise InvalidInput(field, "grid spec must be an object or start:end:points")
+    start = _get(spec, "start", _number, 0.0, within=field)
+    end = _get(spec, "end", _number, within=field)
+    points = _get(spec, "points", _integer, DEFAULT_GRID_POINTS, within=field)
     if start != 0.0:
-        raise ConfigError(f"{field}.start", "grid must start at t = 0")
+        raise InvalidInput(f"{field}.start", "grid must start at t = 0")
     if points < 1:
-        raise ConfigError(f"{field}.points", "grid needs at least one point")
+        raise InvalidInput(f"{field}.points", "grid needs at least one point")
     if points > 1 and end <= start:
-        raise ConfigError(f"{field}.end", "grid end must exceed start")
+        raise InvalidInput(f"{field}.end", "grid end must exceed start")
     return np.linspace(start, end, points)
-
-
-def _times_from_spec(spec, field: str) -> list[float]:
-    if spec is None:
-        raise ConfigError(field, "required value is missing")
-    if isinstance(spec, str):
-        spec = _parse_floats(spec, field)
-    if not isinstance(spec, (list, tuple)):
-        raise ConfigError(field, f"expected a list of times, got {spec!r}")
-    times = [_number(t, field) for t in spec]
-    if not times:
-        raise ConfigError(field, "at least one time is required")
-    if any(t < 0.0 for t in times):
-        raise ConfigError(field, "times must be finite and >= 0")
-    return times
 
 
 # Namespace attributes that steer the CLI itself rather than a computation.
@@ -247,11 +226,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     A config key must be the name of some subcommand's flag, so one file can
     serve every subcommand but a mistyped key is not silently ignored.
     """
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _read_json(args.config, "config") if args.config else {}
+    if not isinstance(cfg, dict):
+        raise InvalidInput("config", "top level must be a JSON object")
     known = {flag[2:] for *_, flags in SUBCOMMANDS for flag, _ in flags}
     for key in cfg:
         if key not in known:
-            raise ConfigError(key, f"unknown config key (known: {', '.join(sorted(known))})")
+            raise InvalidInput(key, f"unknown config key (known: {', '.join(sorted(known))})")
     for key, value in vars(args).items():
         if key not in _NOT_CONFIG and value is not None:
             cfg[key] = value
@@ -259,9 +240,9 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _gamma_of(cfg: dict) -> float:
-    gamma = _need_float(cfg, "gamma", 1.0)
+    gamma = _get(cfg, "gamma", _number, 1.0)
     if gamma <= 0.0:
-        raise ConfigError("gamma", "gamma must be positive")
+        raise InvalidInput("gamma", "gamma must be positive")
     return gamma
 
 
@@ -269,9 +250,9 @@ def _pair_inputs(cfg: dict) -> tuple[float, Coupling, Coupling, np.ndarray]:
     """gamma, both couplings and the initial state of a two-qubit run."""
     gamma = _gamma_of(cfg)
     spec1, spec2 = cfg.get("coupling1"), cfg.get("coupling2")
-    c1 = _coupling_from_spec(spec1, "coupling1", gamma)
-    c2 = c1 if spec2 == spec1 else _coupling_from_spec(spec2, "coupling2", gamma)
-    return gamma, c1, c2, _state_from_spec(cfg.get("state"), "state")
+    c1 = _coupling(spec1, "coupling1", gamma)
+    c2 = c1 if spec2 == spec1 else _coupling(spec2, "coupling2", gamma)
+    return gamma, c1, c2, _state(cfg.get("state"), "state")
 
 
 def _json(payload: dict) -> str:
@@ -327,15 +308,14 @@ def geodesic_sphere(subdivisions: int = 3) -> np.ndarray:
 
 def cmd_evolve(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
-    coupling = _coupling_from_spec(cfg.get("coupling"), "coupling", gamma)
-    r0 = _vec3(_parse_floats(cfg["r0"], "r0") if isinstance(cfg.get("r0"), str)
-               else cfg.get("r0", (0.0, 0.0, 1.0)), "r0")
+    coupling = _coupling(cfg.get("coupling"), "coupling", gamma)
+    r0 = _get(cfg, "r0", _vec3, (0.0, 0.0, 1.0))
     if float(np.linalg.norm(r0)) > 1.0 + 1e-9:
-        raise ConfigError("r0", "initial Bloch vector must satisfy |r0| <= 1")
+        raise InvalidInput("r0", "initial Bloch vector must satisfy |r0| <= 1")
     if cfg.get("times") is not None:
-        times = _times_from_spec(cfg.get("times"), "times")
+        times = _get(cfg, "times", _times)
     else:
-        times = [float(t) for t in _grid_from_spec(cfg.get("grid"), "grid", gamma)]
+        times = [float(t) for t in _grid(cfg.get("grid"), "grid", gamma)]
     records = [
         {"t": t, "r": [float(c) for c in evolve(r0, coupling, t)]} for t in times
     ]
@@ -351,7 +331,7 @@ def cmd_evolve(cfg: dict) -> str:
 
 def cmd_trajectory(cfg: dict) -> str:
     gamma, c1, c2, rho0 = _pair_inputs(cfg)
-    grid = _grid_from_spec(cfg.get("grid"), "grid", gamma)
+    grid = _grid(cfg.get("grid"), "grid", gamma)
     rows = lambda_trajectory(rho0, c1, c2, grid)
     lines = ["t,lambda,concurrence"]
     lines += [f"{_fmt(t)},{_fmt(lam)},{_fmt(conc)}" for t, lam, conc in rows]
@@ -360,16 +340,16 @@ def cmd_trajectory(cfg: dict) -> str:
 
 def cmd_sde_check(cfg: dict) -> str:
     gamma, c1, c2, rho0 = _pair_inputs(cfg)
-    grid = _grid_from_spec(cfg.get("grid"), "grid", gamma)
+    grid = _grid(cfg.get("grid"), "grid", gamma)
     return _json(sde_check(rho0, c1, c2, grid=grid).to_dict())
 
 
 def cmd_choi(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
-    coupling = _coupling_from_spec(cfg.get("coupling"), "coupling", gamma)
-    t = _need_float(cfg, "t")
+    coupling = _coupling(cfg.get("coupling"), "coupling", gamma)
+    t = _get(cfg, "t", _number)
     if t < 0.0:
-        raise ConfigError("t", "time must be >= 0")
+        raise InvalidInput("t", "time must be >= 0")
     choi = choi_of_channel(coupling, t)
     kraus, spectrum = kraus_of_choi(choi)
     payload = {
@@ -384,19 +364,13 @@ def cmd_choi(cfg: dict) -> str:
 
 
 def cmd_census(cfg: dict) -> str:
-    n = _need_int(cfg, "n")
-    if n < 1:
-        raise ConfigError("n", "n must be >= 1")
-    seed = _need_int(cfg, "seed", 0)
-    if seed < 0:
-        raise ConfigError("seed", f"seed must be >= 0, got {seed}")
-    return _json(run_census(n, seed=seed).to_dict())
+    return _json(run_census(_get(cfg, "n", _integer), seed=_get(cfg, "seed", _integer, 0)).to_dict())
 
 
 def cmd_bloch_export(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
-    coupling = _coupling_from_spec(cfg.get("coupling"), "coupling", gamma)
-    times = _times_from_spec(cfg.get("times"), "times")
+    coupling = _coupling(cfg.get("coupling"), "coupling", gamma)
+    times = _get(cfg, "times", _times)
     mesh = geodesic_sphere()
     lines = ["t,x0,y0,z0,x,y,z"]
     for t in times:
@@ -430,7 +404,7 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
         os.replace(tmp, out_path)
     except OSError as exc:
-        raise ConfigError("out", f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
+        raise InvalidInput("out", f"cannot write {out_path!r}: {exc.strerror or exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -495,7 +469,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args.func(_resolve(args)), args.out)
-    except ConfigError as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QsdeError, ValueError, MemoryError) as exc:

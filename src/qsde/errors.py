@@ -1,38 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A rejected argument raises InvalidInput; the other subclasses say why a
+computation on valid input cannot go on.
+"""
 
 
 class QsdeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotHermitian(QsdeError):
-    """A two-qubit state deviates from Hermitian beyond HERMITIAN_TOL."""
+class InvalidInput(QsdeError, ValueError):
+    """A rejected input; ``field`` names it (``spec.key`` if nested), and str is "field: message"."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
 
 
 class NotPSD(QsdeError):
-    """Input matrix violates the positive-semidefinite precondition."""
-
-
-class DegenerateCoupling(QsdeError):
-    """Both coupling vectors vanish; no dynamics is defined."""
+    """A computed matrix has an eigenvalue below linalg.PSD_ABORT_TOL."""
 
 
 class NotEntangled(QsdeError):
     """Operation requires an entangled initial state."""
 
 
-class InvalidWeight(QsdeError):
-    """State weight |alpha|^2 outside [0, 1]."""
-
-
 class GridTooCoarse(QsdeError):
     """Time grid cannot bracket the sign change reliably."""
-
-
-class ConfigError(QsdeError):
-    """Invalid run configuration; carries the offending field name."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message

@@ -21,7 +21,6 @@ RELATIVE_SPECTRAL_ZERO = 64.0 * float(np.finfo(float).eps)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def dot_sigma(r) -> np.ndarray:

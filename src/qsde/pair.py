@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import Coupling
 from .choi import kraus_of_coupling
-from .errors import InvalidWeight, NotHermitian, NotPSD
+from .errors import InvalidInput
 from .linalg import SIGMA_Y, herm_eig, psd_spectrum, sqrt_psd
 
 HERMITIAN_TOL = 1e-10
@@ -44,17 +44,17 @@ def initial_state(kind: str, alpha_sq: float) -> np.ndarray:
     with real alpha = sqrt(alpha_sq) and beta = sqrt(1 - alpha_sq). Both
     have concurrence 2 alpha beta.
     """
+    if kind not in ("plus", "minus"):
+        raise InvalidInput("kind", f"must be 'plus' or 'minus', got {kind!r}")
     if not 0.0 <= alpha_sq <= 1.0:
-        raise InvalidWeight(f"alpha_sq = {alpha_sq!r} outside [0, 1]")
+        raise InvalidInput("alpha_sq", f"{alpha_sq!r} outside [0, 1]")
     alpha = math.sqrt(alpha_sq)
     beta = math.sqrt(1.0 - alpha_sq)
     psi = np.zeros(4, dtype=complex)
     if kind == "plus":
         psi[0], psi[3] = alpha, beta
-    elif kind == "minus":
-        psi[1], psi[2] = alpha, beta
     else:
-        raise ValueError(f"kind must be 'plus' or 'minus', got {kind!r}")
+        psi[1], psi[2] = alpha, beta
     return np.outer(psi, psi.conj())
 
 
@@ -63,22 +63,22 @@ def check_state(rho) -> np.ndarray:
 
     Returns rho as a complex array when its entries are finite and it is
     4x4, Hermitian within HERMITIAN_TOL, of trace 1 within DENSITY_TRACE_TOL
-    and has no eigenvalue below -1e-9. Otherwise raises ValueError
-    (non-finite entries, shape, trace), NotHermitian or NotPSD. Functions
-    past this point trust the states they are given.
+    and has no eigenvalue below -1e-9. Otherwise raises InvalidInput with
+    field ``rho0``, whose message names the failed test. Functions past
+    this point trust the states they are given.
     """
     rho = np.asarray(rho, dtype=complex)
     if not np.all(np.isfinite(rho)):
-        raise ValueError("state matrix entries must be finite")
+        raise InvalidInput("rho0", "state matrix entries must be finite")
     if rho.shape != (4, 4):
-        raise ValueError(f"state matrix must be 4x4, got {rho.shape}")
+        raise InvalidInput("rho0", f"state matrix must be 4x4, got {rho.shape}")
     if float(np.max(np.abs(rho - rho.conj().T))) > HERMITIAN_TOL:
-        raise NotHermitian(f"state matrix is not Hermitian within {HERMITIAN_TOL:g}")
+        raise InvalidInput("rho0", f"state matrix is not Hermitian within {HERMITIAN_TOL:g}")
     if abs(complex(np.trace(rho)) - 1.0) > DENSITY_TRACE_TOL:
-        raise ValueError(f"state matrix trace must be 1 within {DENSITY_TRACE_TOL:g}")
+        raise InvalidInput("rho0", f"state matrix trace must be 1 within {DENSITY_TRACE_TOL:g}")
     smallest = float(np.linalg.eigvalsh(rho)[0])
     if smallest < STATE_EIGENVALUE_FLOOR:
-        raise NotPSD(f"state matrix has eigenvalue {smallest:.3e} < -1e-9")
+        raise InvalidInput("rho0", f"state matrix has eigenvalue {smallest:.3e} < -1e-9")
     return rho
 
 
@@ -144,11 +144,11 @@ def lambda_trajectory(rho0, c1: Coupling, c2: Coupling, grid) -> list[tuple[floa
     """(t, lam, concurrence) records along a strictly increasing grid from 0."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a non-empty 1-d array of times")
+        raise InvalidInput("grid", "grid must be a non-empty 1-d array of times")
     if grid[0] != 0.0:
-        raise ValueError("grid must start at t = 0")
+        raise InvalidInput("grid", "grid must start at t = 0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise ValueError("grid must be strictly increasing")
+        raise InvalidInput("grid", "grid must be strictly increasing")
     rho0 = np.asarray(rho0, dtype=complex)
     records = []
     for t in grid:

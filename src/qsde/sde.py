@@ -157,7 +157,8 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     case the lam(t) trajectory is scanned and tau is filled when a crossing
     lies on the grid (the dissipative "not-covered" verdict can still come
     with a finite tau). rho0 is checked here, once, by pair.check_state,
-    whose errors propagate; a separable rho0 raises NotEntangled.
+    whose errors propagate. A separable rho0 raises NotEntangled, and so
+    does one whose scan reads lam(0) <= 0.
     """
     rho0 = check_state(rho0)
     if concurrence(rho0).concurrence <= 0.0:
@@ -176,6 +177,8 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
         verdict = SdeVerdict("no", lam_late, None, METHOD_NUMERICAL)
 
     traj = lambda_trajectory(rho0, c1, c2, grid)
+    if traj[0][1] <= 0.0:  # at the separable boundary the Kraus route can read lam(0) <= 0
+        raise NotEntangled(f"initial state is not entangled on the scan: lam(0) = {traj[0][1]:.3e}")
     tau = detect_tau(
         traj,
         lambda_of_t=lambda t: lambda_at(rho0, c1, c2, t),

@@ -17,7 +17,7 @@ from qsde.channel import (
     family_appc,
     kraus_flip,
 )
-from qsde.errors import DegenerateCoupling
+from qsde.errors import InvalidInput
 
 from helpers import (
     apply_channel,
@@ -40,14 +40,14 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def test_coupling_requires_normalization():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         Coupling(u=X, v=Y)  # |u|^2 + |v|^2 = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         Coupling(u=X, v=np.zeros(3), gamma=-1.0)
 
 
 def test_degenerate_coupling_rejected():
-    with pytest.raises(DegenerateCoupling):
+    with pytest.raises(InvalidInput):
         Coupling(u=np.zeros(3), v=np.zeros(3))
 
 

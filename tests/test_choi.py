@@ -11,7 +11,7 @@ from qsde.choi import (
     kraus_of_coupling,
 )
 from qsde.errors import NotPSD
-from qsde.linalg import IDENTITY_2, herm_eig
+from qsde.linalg import IDENTITY_2, herm_eig, psd_spectrum
 
 from helpers import (
     apply_channel,
@@ -166,3 +166,19 @@ def test_choi_dust_is_clipped_with_one_warning(caplog):
         "clipping negative Choi eigenvalue -1.000e-10 to zero"
     ]
     assert len(kraus) == 3
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kraus_of_choi_keeps_exactly_the_unsnapped_columns(seed):
+    # a kept operator is sqrt(eigenvalue) times a unit vector with eigenvalue
+    # >= 64 eps lam_max >= 32 eps (the trace is 2), so its max-abs is at least
+    # sqrt(32 eps) / 2; every other column is exactly zero and dropped
+    rng = np.random.default_rng(1700 + seed)
+    couplings = [random_coupling(rng) for _ in range(5)] + [family_appc(-math.pi / 4)]
+    for c in couplings:
+        for t in (0.0, 1e-3, 0.3, 3.0, 1e3):
+            choi = choi_of_channel(c, t)
+            kraus, _ = kraus_of_choi(choi)
+            spectrum = psd_spectrum(herm_eig(choi)[0])
+            assert len(kraus) == np.count_nonzero(spectrum > 0.0)
+            assert min(float(np.max(np.abs(k))) for k in kraus) >= math.sqrt(32.0 * np.finfo(float).eps) / 2.0

@@ -5,7 +5,7 @@ from qsde.errors import NotPSD
 from qsde.linalg import (
     PSD_ABORT_TOL,
     RELATIVE_SPECTRAL_ZERO,
-    SIGMA_Z,
+    dot_sigma,
     herm_eig,
     psd_factor,
     psd_spectrum,
@@ -44,7 +44,8 @@ def test_identity_eigensystem():
 
 
 def test_zz_eigenvalues_descending():
-    vals, _ = herm_eig(np.kron(SIGMA_Z, SIGMA_Z))
+    sigma_z = dot_sigma((0.0, 0.0, 1.0))
+    vals, _ = herm_eig(np.kron(sigma_z, sigma_z))
     assert np.allclose(vals, [1.0, 1.0, -1.0, -1.0], atol=1e-15)
 
 

@@ -12,7 +12,7 @@ from qsde.pair import (
     lambda_at,
     lambda_trajectory,
 )
-from qsde.errors import InvalidWeight
+from qsde.errors import InvalidInput
 from qsde.linalg import IDENTITY_2, dot_sigma
 
 from helpers import (
@@ -152,9 +152,9 @@ def test_initial_state_product_limits():
 
 
 def test_initial_state_rejects_bad_weight():
-    with pytest.raises(InvalidWeight):
+    with pytest.raises(InvalidInput, match=r"^alpha_sq: 1\.2 outside \[0, 1\]$"):
         initial_state("plus", 1.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         initial_state("psi", 0.5)
 
 
@@ -206,11 +206,11 @@ def test_trajectory_first_record_is_initial_concurrence():
 def test_trajectory_grid_validation():
     rho = initial_state("plus", 0.5)
     c = family_appc(-math.pi / 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         lambda_trajectory(rho, c, c, np.array([]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         lambda_trajectory(rho, c, c, np.array([0.5, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput):
         lambda_trajectory(rho, c, c, np.array([0.0, 1.0, 1.0]))
 
 

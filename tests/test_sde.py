@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from qsde.channel import Coupling, evolve, family_appc
-from qsde.pair import initial_state, lambda_at, lambda_trajectory
+from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory
 from qsde.sde import (
     detect_tau,
     predict_dissipative,
     predict_flip,
     sde_check,
 )
-from qsde.errors import GridTooCoarse, NotEntangled, NotHermitian, NotPSD
-from qsde.linalg import SIGMA_Z, dot_sigma
+from qsde.errors import GridTooCoarse, InvalidInput, NotEntangled
+from qsde.linalg import dot_sigma
 
 from helpers import (
     axis_frame,
@@ -26,6 +26,7 @@ from helpers import (
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+SIGMA_Z = dot_sigma(Z)
 
 LN2_OVER_4 = 0.17328679513998632
 
@@ -313,6 +314,30 @@ def test_sde_check_rejects_separable():
         sde_check(np.eye(4, dtype=complex) / 4.0, flip_coupling(Z), flip_coupling(Z))
 
 
+def test_sde_check_rejects_a_separable_state_before_scanning(monkeypatch):
+    import qsde.sde
+
+    def no_scan(*args):
+        raise AssertionError("lambda_trajectory reached")
+
+    monkeypatch.setattr(qsde.sde, "lambda_trajectory", no_scan)
+    with pytest.raises(NotEntangled):
+        sde_check(initial_state("plus", 0.0), family_appc(0.3), family_appc(0.3))
+
+
+def test_sde_check_rejects_a_boundary_state_whose_scan_starts_at_lam_le_zero():
+    # a Werner-type state at the separable boundary: its concurrence reads
+    # +1.4e-16, but the scan's lam at t = 0, through the Kraus route, -2.8e-17
+    a, p = 0.7774538558746287, 0.37540020103303556
+    psi = np.array([math.sqrt(a), 0.0, 0.0, math.sqrt(1.0 - a)])
+    rho = p * np.outer(psi, psi) + (1.0 - p) / 4.0 * np.eye(4)
+    c1, c2 = family_appc(0.3), family_appc(0.7)
+    assert concurrence(rho).lam > 0.0
+    assert lambda_at(rho.astype(complex), c1, c2, 0.0) <= 0.0
+    with pytest.raises(NotEntangled, match=r"lam\(0\) = -2\.776e-17"):
+        sde_check(rho, c1, c2)
+
+
 def test_sde_check_validates_rho0_exactly_once(monkeypatch):
     import qsde.pair
     import qsde.sde
@@ -338,25 +363,25 @@ def _bell_with_dust(eps: float) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "rho, error, message",
+    "rho, message",
     [
-        (initial_state("plus", 0.5) + np.triu(np.full((4, 4), 1e-6), 1), NotHermitian,
+        (initial_state("plus", 0.5) + np.triu(np.full((4, 4), 1e-6), 1),
          "state matrix is not Hermitian within 1e-10"),
-        (np.eye(4) / 3.0, ValueError, "state matrix trace must be 1 within 1e-10"),
-        (_bell_with_dust(2e-9), NotPSD, "state matrix has eigenvalue -2.000e-09 < -1e-9"),
+        (np.eye(4) / 3.0, "state matrix trace must be 1 within 1e-10"),
+        (_bell_with_dust(2e-9), "state matrix has eigenvalue -2.000e-09 < -1e-9"),
     ],
     ids=["not-hermitian", "trace-4/3", "eigenvalue-minus-2e-9"],
 )
-def test_sde_check_applies_the_state_rule_with_the_cli_text(rho, error, message):
-    with pytest.raises(error) as info:
+def test_sde_check_applies_the_state_rule_with_the_cli_text(rho, message):
+    with pytest.raises(InvalidInput) as info:
         sde_check(rho, family_appc(0.3), family_appc(0.3))
-    assert str(info.value) == message
+    assert (info.value.field, info.value.message) == ("rho0", message)
 
 
 def test_sde_check_rejects_a_nan_state_entry_by_name():
     rho = initial_state("plus", 0.5)
     rho[1, 1] = np.nan
-    with pytest.raises(ValueError, match="^state matrix entries must be finite$") as info:
+    with pytest.raises(InvalidInput, match="^rho0: state matrix entries must be finite$") as info:
         sde_check(rho, flip_coupling(Z), flip_coupling(Z))
     assert not isinstance(info.value, np.linalg.LinAlgError)
 
