@@ -137,6 +137,10 @@ def lambda_at(rho0, c1: Coupling, c2: Coupling, t: float) -> float:
 
 def default_grid(gamma: float = 1.0) -> np.ndarray:
     """Uniform time grid of DEFAULT_GRID_POINTS covering gamma*t in [0, DEFAULT_GRID_SPAN]."""
+    gamma = float(gamma)  # a Python float overflows to inf without a numpy warning
+    if not math.isfinite(DEFAULT_GRID_SPAN / gamma):
+        raise InvalidInput("gamma", f"default grid end {DEFAULT_GRID_SPAN:g}/gamma overflows at gamma = "
+                                    f"{gamma!r}")
     return np.linspace(0.0, DEFAULT_GRID_SPAN / gamma, DEFAULT_GRID_POINTS)
 
 

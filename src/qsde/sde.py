@@ -103,7 +103,8 @@ def predict_dissipative(c1: Coupling, c2: Coupling) -> SdeVerdict:
 def detect_tau(traj, lambda_of_t, lambda_inf: float | None = None) -> float | None:
     """Locate the first time lam(t) crosses zero on a trajectory.
 
-    ``traj`` is a sequence of (t, lam, ...) records with lam(0) > 0. A
+    ``traj`` is a non-empty sequence of (t, lam, ...) records from t = 0;
+    lam(0) <= 0 raises NotEntangled, as the scan must start entangled. A
     crossing is registered when lam drops below -1e-9 (values inside the
     noise band around zero do not count). The bracket is then refined to
     TAU_TOL by bisection on ``lambda_of_t``, recomputed from the exact
@@ -116,8 +117,8 @@ def detect_tau(traj, lambda_of_t, lambda_inf: float | None = None) -> float | No
     """
     times = [float(row[0]) for row in traj]
     lams = [float(row[1]) for row in traj]
-    if not lams or lams[0] <= 0.0:
-        raise ValueError("trajectory must start with lam(0) > 0")
+    if lams[0] <= 0.0:  # at the separable boundary the Kraus route can read lam(0) <= 0
+        raise NotEntangled(f"initial state is not entangled on the scan: lam(0) = {lams[0]:.3e}")
 
     neg = next((i for i, lam in enumerate(lams) if lam < -CROSSING_FLOOR), None)
     if neg is None:
@@ -131,8 +132,6 @@ def detect_tau(traj, lambda_of_t, lambda_inf: float | None = None) -> float | No
     pos = neg - 1
     while pos > 0 and lams[pos] <= CROSSING_FLOOR:
         pos -= 1
-    if lams[pos] <= 0.0:
-        raise GridTooCoarse("no clearly positive point precedes the crossing")
     if times[neg] - times[pos] > GAP_TOL:
         raise GridTooCoarse(
             f"sign change straddles a gap of {times[neg] - times[pos]:.3g} "
@@ -156,9 +155,9 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     share a class, otherwise falls back to the numerical route. In every
     case the lam(t) trajectory is scanned and tau is filled when a crossing
     lies on the grid (the dissipative "not-covered" verdict can still come
-    with a finite tau). rho0 is checked here, once, by pair.check_state,
-    whose errors propagate. A separable rho0 raises NotEntangled, and so
-    does one whose scan reads lam(0) <= 0.
+    with a finite tau). rho0 is checked here, once, by pair.check_state, and
+    the grid by lambda_trajectory; their errors propagate. A separable rho0,
+    or one whose scan reads lam(0) <= 0 (detect_tau), raises NotEntangled.
     """
     rho0 = check_state(rho0)
     if concurrence(rho0).concurrence <= 0.0:
@@ -176,11 +175,8 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
         lam_late = lambda_at(rho0, c1, c2, 20.0 / gamma_min)
         verdict = SdeVerdict("no", lam_late, None, METHOD_NUMERICAL)
 
-    traj = lambda_trajectory(rho0, c1, c2, grid)
-    if traj[0][1] <= 0.0:  # at the separable boundary the Kraus route can read lam(0) <= 0
-        raise NotEntangled(f"initial state is not entangled on the scan: lam(0) = {traj[0][1]:.3e}")
     tau = detect_tau(
-        traj,
+        lambda_trajectory(rho0, c1, c2, grid),
         lambda_of_t=lambda t: lambda_at(rho0, c1, c2, t),
         lambda_inf=verdict.lambda_inf,
     )

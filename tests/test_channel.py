@@ -23,6 +23,7 @@ from helpers import (
     apply_channel,
     master_rhs,
     oracle_rk4,
+    oracle_rk4_batch,
     random_bloch,
     random_coupling,
     random_dissipative_coupling,
@@ -178,6 +179,19 @@ def test_standard_amplitude_damping_from_origin():
         assert abs(float(r @ w_hat) - (1.0 - math.exp(-4.0 * t))) <= 1e-14
         rk4 = oracle_rk4(np.zeros(3), c, t, 1e-4)
         assert np.max(np.abs(r - rk4)) <= 1e-8
+
+
+def test_evolve_dissipative_exact_zero_q_matches_rk4():
+    # u = s x, v = s y gives q == 0.0 exactly, the branch without expm1
+    # (appc:-pi/4 reads q = 1.1e-16 and takes the expm1 branch)
+    s = 0.7071067811865476
+    c = Coupling(u=(s, 0.0, 0.0), v=(0.0, s, 0.0))
+    assert classify(c).q == 0.0
+    r0 = random_bloch(np.random.default_rng(31))
+    times = (0.1, 0.5, 2.0, 5.0)
+    rk4 = oracle_rk4_batch([r0], [c], times, 1e-4)
+    for k, t in enumerate(times):
+        assert np.max(np.abs(evolve(r0, c, t) - rk4[k, 0])) < 1e-6  # C1's bound
 
 
 @pytest.mark.parametrize("seed", range(8))

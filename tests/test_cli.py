@@ -3,6 +3,9 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -599,3 +602,80 @@ def test_census_too_large_for_memory_is_a_one_line_error(capsys):
     assert (code, stdout) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Rejections, each with its exact stderr line
+
+PAIR = ["--coupling1", "appc:0.3", "--coupling2", "appc:0.3", "--state", "plus:0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["census", "--config", "missing.json"], None,
+         "config: [Errno 2] No such file or directory: 'missing.json'"),
+        (["census"], "{", "config: invalid JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (["census"], "[1]", "config: top level must be a JSON object"),
+        (["evolve", "--coupling", "appc:0.3"], '{"times": 5}', "times: expected a list of numbers, got 5"),
+        (["evolve", "--coupling", "appc:0.3", "--r0", "1,2"], None,
+         "r0: expected a finite 3-vector, got '1,2'"),
+        (["evolve", "--coupling", "appc:0.3", "--times", ","], None, "times: at least one time is required"),
+        (["evolve", "--coupling", "appc:0.3", "--times=-1"], None, "times: times must be finite and >= 0"),
+        (["census"], None, "n: required value is missing"),
+        (["sde-check", *PAIR, "--coupling1", "appc:0.3,0.4"], None, "coupling1: appc takes exactly theta"),
+        (["choi", "--t", "0"], '{"coupling": {"theta": 0.3}}',
+         "coupling: coupling spec must be an object with a 'type'"),
+        (["choi", "--t", "0"], '{"coupling": {"type": "bogus"}}', "coupling: unknown coupling type 'bogus'"),
+        (["sde-check", "--coupling1", "appc:0.3", "--coupling2", "appc:0.3"], '{"state": 5}',
+         "state: state spec must be an object or spec string"),
+        (["sde-check", *PAIR, "--state", "file:rho.json"], None,
+         "state: state file must hold a 4x4 matrix of numbers or [re, im] pairs"),
+        (["trajectory", *PAIR, "--grid", "0:1"], None, "grid: expected start:end:points, got '0:1'"),
+        (["trajectory", *PAIR], '{"grid": 5}', "grid: grid spec must be an object or start:end:points"),
+        (["bloch-export", "--coupling", "appc:0.3", "--times", "1", "--gamma", "0"], None,
+         "gamma: gamma must be positive"),
+        # the grid rule is the library's (pair.lambda_trajectory), reported under the flag
+        (["trajectory", *PAIR, "--grid", "0.5:1:3"], None, "grid: grid must start at t = 0"),
+        (["sde-check", *PAIR, "--grid", "0:0:3"], None, "grid: grid must be strictly increasing"),
+    ],
+    ids=["config-missing", "config-invalid-json", "config-not-object", "times-not-list", "r0-length",
+         "times-empty", "times-negative", "n-missing", "coupling-arity", "coupling-no-type",
+         "coupling-bad-type", "state-not-object", "state-file-matrix", "grid-parts", "grid-not-object",
+         "gamma-zero", "grid-start", "grid-increasing"],
+)
+def test_rejection_exits_2_with_its_line(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rho.json").write_text('{"matrix": 5}')
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv = [*argv, "--config", "run.json"]
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["evolve", "--coupling", "appc:0.3"], ["trajectory", *PAIR], ["sde-check", *PAIR]],
+    ids=["evolve", "trajectory", "sde-check"],
+)
+def test_gamma_too_small_for_the_default_grid_is_config_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli([*argv, "--gamma", "1e-320"], capsys)
+    assert result == (2, "", "error: gamma: default grid end 10/gamma overflows at gamma = 1e-320\n")
+
+
+@pytest.mark.parametrize("path, shown", [("0", "0"), ("true", "True")])
+def test_state_file_that_is_not_a_path_is_rejected_unopened(tmp_path, path, shown):
+    # open() takes an integer as a file descriptor: 0 would read, then close, stdin
+    config = tmp_path / "run.json"
+    config.write_text(f'{{"coupling1": "appc:0.3", "coupling2": "appc:0.3", "state": {{"file": {path}}}}}')
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    script = "import sys; from qsde.cli import main; code = main(sys.argv[1:]); print(code, sys.stdin.read())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sde-check", "--config", str(config)],
+        input="{}", capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert (proc.stdout, proc.stderr) == ("2 {}\n", f"error: state.file: expected a file path, got {shown}\n")

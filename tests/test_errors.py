@@ -8,7 +8,7 @@ import pytest
 from qsde.census import run_census
 from qsde.channel import Coupling
 from qsde.errors import InvalidInput, QsdeError
-from qsde.pair import check_state, initial_state, lambda_trajectory
+from qsde.pair import check_state, default_grid, initial_state, lambda_trajectory
 
 X = np.array([1.0, 0.0, 0.0])
 NO_V = np.zeros(3)
@@ -39,6 +39,7 @@ SITES = [
     ("grid-empty", lambda: lambda_trajectory(BELL, FLIP, FLIP, []), "grid"),
     ("grid-start", lambda: lambda_trajectory(BELL, FLIP, FLIP, [0.5, 1.0]), "grid"),
     ("grid-increasing", lambda: lambda_trajectory(BELL, FLIP, FLIP, [0.0, 1.0, 1.0]), "grid"),
+    ("default-grid-gamma", lambda: default_grid(1e-320), "gamma"),
     ("n", lambda: run_census(0), "n"),
     ("seed", lambda: run_census(10, seed=-1), "seed"),
 ]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from qsde.channel import Coupling, evolve, family_appc
 from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory
 from qsde.sde import (
+    GAP_TOL,
+    TAU_TOL,
     detect_tau,
     predict_dissipative,
     predict_flip,
@@ -239,8 +242,29 @@ def test_detect_tau_crossing_beyond_grid_raises():
 
 
 def test_detect_tau_requires_entangled_start():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotEntangled, match=r"not entangled on the scan: lam\(0\) = -2\.000e-01$"):
         detect_tau([(0.0, -0.2), (1.0, -0.4)], lambda t: -0.2)
+
+
+def test_detect_tau_walks_back_through_the_noise_band():
+    # 5e-10, -5e-10 and 1e-10 all lie inside +-CROSSING_FLOOR, so the bracket
+    # runs from t = 0.1, the last point above the band, to t = 0.5
+    traj = [(0.0, 0.5), (0.1, 0.3), (0.2, 5e-10), (0.3, -5e-10), (0.4, 1e-10), (0.5, -0.2)]
+    calls = []
+
+    def lam(t):
+        calls.append(t)
+        return 0.25 - t
+
+    assert abs(detect_tau(traj, lam) - 0.25) <= TAU_TOL
+    assert calls[0] == 0.5 * (0.1 + 0.5)
+
+
+def test_detect_tau_noise_band_wider_than_the_gap_tolerance_raises():
+    traj = [(0.0, 0.5), (0.1, 0.3), (0.3, 5e-10), (0.5, -5e-10), (0.7, -0.2)]
+    assert 0.7 - 0.1 > GAP_TOL
+    with pytest.raises(GridTooCoarse, match="gap of 0.6"):
+        detect_tau(traj, lambda t: 0.25 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +360,17 @@ def test_sde_check_rejects_a_boundary_state_whose_scan_starts_at_lam_le_zero():
     assert lambda_at(rho.astype(complex), c1, c2, 0.0) <= 0.0
     with pytest.raises(NotEntangled, match=r"lam\(0\) = -2\.776e-17"):
         sde_check(rho, c1, c2)
+
+
+def test_sde_check_rejects_a_gamma_too_small_for_the_default_grid():
+    # 10 / 1e-320 overflows: the default grid would end at t = inf
+    c = family_appc(0.3, gamma=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput) as info:
+            sde_check(initial_state("plus", 0.5), c, c)
+    assert (info.value.field, info.value.message) == (
+        "gamma", "default grid end 10/gamma overflows at gamma = 1e-320")
 
 
 def test_sde_check_validates_rho0_exactly_once(monkeypatch):
