@@ -211,6 +211,8 @@ def _grid(spec, field: str, gamma: float) -> np.ndarray:
     points = _get(spec, "points", _integer, DEFAULT_GRID_POINTS, within=field)
     if points < 1:
         raise InvalidInput(f"{field}.points", "grid needs at least one point")
+    if not math.isfinite(end - start):  # Python floats overflow to inf without numpy's warning
+        raise InvalidInput(field, f"grid span end - start overflows: start = {start!r}, end = {end!r}")
     return np.linspace(start, end, points)
 
 

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsde.census import uv_from_draws
-from qsde.channel import Coupling, bloch_to_rho
+from qsde.census import CensusReport, count_hits, uv_from_draws
+from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho
 from qsde.linalg import dot_sigma
+
+
+def census_one_shot(n: int, seed: int) -> dict:
+    """Reference census report: every draw at once, stacked (u, v) rows, np.cross and np.linalg.norm."""
+    u, v = uv_from_draws(np.random.Generator(np.random.Philox(seed)).random((n, 5)))
+    n_flip, n_ad, min_ad = count_hits(np.linalg.norm(np.cross(u, v), axis=1))
+    return CensusReport(n, n_flip, n_ad, FLIP_TOL, AD_TOL, min_ad, seed).to_dict()
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:

@@ -596,12 +596,13 @@ def test_choi_decomposes_its_choi_matrix_once(monkeypatch, capsys):
 
 
 def test_census_too_large_for_memory_is_a_one_line_error(capsys):
-    # 1e17 samples of five doubles exceed any 64-bit address space, so the
-    # allocation fails before anything is allocated
+    # the census streams its draws, so memory no longer stops a huge n: the
+    # input rule does, at the largest n whose every count is exact in a double
     code, stdout, err = run_cli(["census", "--n", "1e17"], capsys)
-    assert (code, stdout) == (1, "")
+    assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert err == "error: n: n must be <= 9007199254740992\n"
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +665,16 @@ def test_gamma_too_small_for_the_default_grid_is_config_error(capsys, argv):
         warnings.simplefilter("error")
         result = run_cli([*argv, "--gamma", "1e-320"], capsys)
     assert result == (2, "", "error: gamma: default grid end 10/gamma overflows at gamma = 1e-320\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["evolve", "--coupling", "appc:0.3"], ["trajectory", *PAIR]], ids=["evolve", "trajectory"]
+)
+def test_grid_span_that_overflows_is_config_error(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli([*argv, "--grid=-1e308:1e308:3"], capsys)
+    assert result == (2, "", "error: grid: grid span end - start overflows: start = -1e+308, end = 1e+308\n")
 
 
 @pytest.mark.parametrize("path, shown", [("0", "0"), ("true", "True")])
