@@ -32,6 +32,12 @@ from .sde import sde_check
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
+# The most points a --grid may have. A grid is evaluated point by point: on a
+# 2-vCPU VM, 10**6 points take `evolve` (~50 us a point) about a minute and
+# `trajectory` (~0.85 ms a point, appc:0.3 on both qubits) about a quarter of
+# an hour, and fill 8 MB. A count far above that is a mistake, and one of
+# ~1e15 is refused by numpy's allocator, not run.
+MAX_GRID_POINTS = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -211,6 +217,8 @@ def _grid(spec, field: str, gamma: float) -> np.ndarray:
     points = _get(spec, "points", _integer, DEFAULT_GRID_POINTS, within=field)
     if points < 1:
         raise InvalidInput(f"{field}.points", "grid needs at least one point")
+    if points > MAX_GRID_POINTS:
+        raise InvalidInput(f"{field}.points", f"grid has at most {MAX_GRID_POINTS} points, got {points}")
     if not math.isfinite(end - start):  # Python floats overflow to inf without numpy's warning
         raise InvalidInput(field, f"grid span end - start overflows: start = {start!r}, end = {end!r}")
     return np.linspace(start, end, points)

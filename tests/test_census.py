@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from helpers import census_one_shot
-from qsde.census import CHUNK_ROWS, count_hits, cross_norm, run_census, uv_from_draws
+from qsde.census import (
+    CHUNK_ROWS,
+    SCREEN_TOL,
+    _chart,
+    _screen,
+    count_hits,
+    cross_norm,
+    run_census,
+    uv_from_draws,
+)
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify
+from qsde.errors import InvalidInput
 from qsde.sde import predict_dissipative
 
 
@@ -88,7 +98,7 @@ def test_fused_kernel_is_np_cross_and_norm_bit_for_bit():
     assert np.array_equal(cross_norm(*u.T, *v.T), np_cross_norm(u, v))
 
 
-@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7])
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7, 2**18 + 5])
 @pytest.mark.parametrize("seed", [0, 42, 2024])
 def test_streamed_census_equals_the_one_shot_reference(n, seed):
     # chunked draws and the fused |u x v| kernel keep every sample's arithmetic
@@ -162,3 +172,106 @@ def test_census_amplitude_damping_surface_is_the_criterions(offset):
 def test_run_census_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
         run_census(10, seed=-1)
+
+
+def test_run_census_rejects_non_integers_by_name():
+    for field, call in (("n", lambda v: run_census(v)), ("seed", lambda v: run_census(10, seed=v))):
+        for value in (True, False, np.bool_(True), 10.5, math.nan, math.inf, "10", None, 1j):
+            with pytest.raises(InvalidInput) as info:
+                call(value)
+            assert info.value.field == field
+            assert info.value.message == f"expected an integer, got {value!r}"
+
+
+def test_run_census_reports_numpy_and_integral_inputs_as_int():
+    reference = run_census(10, seed=3)
+    for n, seed in ((np.int64(10), np.uint8(3)), (np.int32(10), np.int64(3)), (10.0, np.float32(3.0))):
+        report = run_census(n, seed=seed)
+        assert report == reference
+        assert type(report.n_samples) is int and type(report.seed) is int
+
+
+# The float32 screen: each chunk's |u x v| is taken in float32, and only the
+# rows that can change the chunk's count_hits are decided in float64.
+
+_ALMOST_ONE = 1.0 - 2.0**-53
+
+
+def test_screen_margin_covers_the_amplitude_damping_band():
+    # _screen finds amplitude-damping hits through its closest-row rule alone
+    assert AD_TOL <= SCREEN_TOL
+
+
+def test_screen_error_is_at_most_a_tenth_of_its_margin():
+    x = draws(31, 200_000)
+    rng = np.random.default_rng(31)
+    x[:20_000, 0] = 1.0 - rng.random(20_000) * 2.0**-20  # r -> 1, where s is ill-conditioned
+    x[20_000:20_010, 0] = 1.0 - np.arange(10) * 2.0**-53
+    x[20_010:20_020, 0] = 0.0
+    x[20_020:20_040, 0] = 1.0
+    corners = np.array(np.meshgrid(*[[0.0, _ALMOST_ONE]] * 4)).reshape(4, -1).T
+    x[30_000 : 30_000 + len(corners), 1:] = corners  # every angle draw at 0 or just below 1
+    x[40_000 : 40_000 + len(corners), 1:] = corners
+    x[40_000 : 40_000 + len(corners), 0] = 1.0 / math.sqrt(2.0)
+    x[np.arange(50_000, 60_000), 1 + rng.integers(0, 4, 10_000)] = rng.choice([0.0, _ALMOST_ONE], 10_000)
+    w32 = cross_norm(*_chart(x, np.float32))
+    assert w32.dtype == np.float32
+    assert float(np.max(np.abs(w32.astype(np.float64) - cross_norm(*_chart(x))))) <= SCREEN_TOL / 10.0
+
+
+def _row_with_w(m):
+    # theta = phi = phi' = 0 and theta' = pi/2 give |u x v| = R sqrt(1 - R^2) = m:
+    # the small root of R^2 for the flip band, the large one for amplitude damping
+    root = math.sqrt(1.0 - 4.0 * m * m)
+    r2 = 2.0 * m * m / (1.0 + root) if m < 0.25 else 0.5 * (1.0 + root)
+    return [math.sqrt(r2), 0.0, 0.25, 0.0, 0.0]
+
+
+PLANTED = [
+    ([1.0, 0.11, 0.18, 0.13, 0.64], "flip"),  # r = 1: v = 0
+    ([1.0 / math.sqrt(2.0), 0.0, 0.75, 0.0, 0.0], "ad"),  # the amplitude-damping calibration row
+    (_row_with_w(0.999 * FLIP_TOL), "flip"),
+    (_row_with_w(1.001 * FLIP_TOL), None),
+    (_row_with_w(0.5 - 0.999 * AD_TOL), "ad"),
+    (_row_with_w(0.5 - 1.001 * AD_TOL), None),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_screen_keeps_every_row_that_decides_the_chunk(seed):
+    x = draws(seed, CHUNK_ROWS)
+    at = np.random.default_rng(seed).choice(CHUNK_ROWS, len(PLANTED), replace=False)
+    x[at] = [row for row, _ in PLANTED]
+    w64 = cross_norm(*_chart(x))
+    # each planted row lands on the side of its band it was built for
+    assert [bool(w64[i] <= FLIP_TOL) for i in at] == [hit == "flip" for _, hit in PLANTED]
+    assert [bool(abs(w64[i] - 0.5) <= AD_TOL) for i in at] == [hit == "ad" for _, hit in PLANTED]
+    keep = _screen(x)
+    assert keep[at].all()
+    exact = count_hits(w64)
+    assert exact[:2] == (2, 2)
+    assert count_hits(cross_norm(*_chart(x[keep]))) == exact
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_screen_leaves_float64_a_handful_of_rows(seed):
+    x = draws(seed, CHUNK_ROWS)
+    keep = _screen(x)
+    assert count_hits(cross_norm(*_chart(x[keep]))) == count_hits(cross_norm(*_chart(x)))
+    # the float64 pass is the slow one: the screen must leave it a handful of rows
+    assert np.count_nonzero(keep) <= 64
+
+
+@pytest.mark.parametrize("density", [0.0005, 0.1, 0.5, 0.9])
+def test_float64_chart_and_kernel_are_row_by_row_bit_for_bit(density):
+    # the screen's bit-identity rests on this: a row's |u x v| does not depend
+    # on which other rows are charted with it
+    x = draws(13, 3 * CHUNK_ROWS + 7)
+    w = cross_norm(*_chart(x))
+    rng = np.random.default_rng(int(density * 1e4))
+    for _ in range(5):
+        mask = rng.random(len(x)) < density
+        mask[rng.integers(len(x))] = True
+        assert np.array_equal(w[mask], cross_norm(*_chart(x[mask])))
+    for i in rng.integers(0, len(x), 20):
+        assert np.array_equal(w[i : i + 1], cross_norm(*_chart(x[i : i + 1])))

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qsde.channel import family
-from qsde.cli import geodesic_sphere, main
+from qsde.cli import MAX_GRID_POINTS, _grid, geodesic_sphere, main
+from qsde.errors import InvalidInput
 
 
 def run_cli(args, capsys):
@@ -675,6 +676,23 @@ def test_grid_span_that_overflows_is_config_error(capsys, argv):
         warnings.simplefilter("error")
         result = run_cli([*argv, "--grid=-1e308:1e308:3"], capsys)
     assert result == (2, "", "error: grid: grid span end - start overflows: start = -1e+308, end = 1e+308\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["evolve", "--coupling", "appc:0.3"], ["trajectory", *PAIR], ["sde-check", *PAIR]],
+    ids=["evolve", "trajectory", "sde-check"],
+)
+def test_grid_with_too_many_points_is_config_error(capsys, argv):
+    # numpy could not allocate this grid: it is refused as an input, before any work
+    result = run_cli([*argv, "--grid", "0:1:1e15"], capsys)
+    assert result == (2, "", "error: grid.points: grid has at most 1000000 points, got 1000000000000000\n")
+
+
+def test_grid_points_bound_is_inclusive():
+    assert len(_grid("0:1:1000000", "grid", 1.0)) == MAX_GRID_POINTS == 10**6
+    with pytest.raises(InvalidInput) as info:
+        _grid({"end": 1, "points": MAX_GRID_POINTS + 1}, "grid", 1.0)
+    assert info.value.field == "grid.points"
 
 
 @pytest.mark.parametrize("path, shown", [("0", "0"), ("true", "True")])

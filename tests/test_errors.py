@@ -41,8 +41,10 @@ SITES = [
     ("grid-increasing", lambda: lambda_trajectory(BELL, FLIP, FLIP, [0.0, 1.0, 1.0]), "grid"),
     ("default-grid-gamma", lambda: default_grid(1e-320), "gamma"),
     ("n", lambda: run_census(0), "n"),
+    ("n-integer", lambda: run_census(True), "n"),
     ("n-max", lambda: run_census(2**53 + 1), "n"),
     ("seed", lambda: run_census(10, seed=-1), "seed"),
+    ("seed-integer", lambda: run_census(10, seed=1.5), "seed"),
 ]
 
 
