@@ -18,15 +18,25 @@ tolerance, estimated from the share of 1e7 samples within bands of
 each surface: none at n = 1e5, and one in a few hundred runs at n = 2e6.
 Counts far above that are a bug.
 
-The draws are streamed through the chart CHUNK_ROWS rows at a time, so
-memory is flat in n. Each chunk is screened, then decided. The screen
-computes every row's |u x v| in float32, which is off from the float64
-value by at most SCREEN_TOL. It keeps only the rows that could still be a
-hit or the chunk's closest approach to 1/2, a few per chunk. The decision
-charts those rows again in float64 and counts them. Every float64 step
-works row by row, so a kept row gets the bits it would get in a pass over
-all draws, and every row that can change the report is kept: the report
-is the float64 one, bit for bit.
+The draws are streamed CHUNK_ROWS rows at a time, so memory is flat in n,
+and each chunk is sieved before it is charted. With R = x0, s = sqrt(1 - R^2)
+and a, b = |x3 - 1/2|, |x4 - 1/2| (so sin(p) = cos(pi a)), two exact bounds
+on |u x v| need only the raw draws:
+
+    |u x v| <= R s, and
+    |u x v| = R s sin(angle(u, v)) >= R s |sin(p) - sin(p')| / sqrt(2)
+            >= sqrt(2) R s (a - b)^2,
+
+the second because the unit vectors' z-components sin(p), sin(p') are >= 0,
+min(|u^ - v^|, |u^ + v^|) <= sqrt(2) sin(angle) and |cos(pi a) - cos(pi b)|
+>= 2 (a - b)^2 on [0, 1/2]. So a row can be a flip hit only if sqrt(2) R s
+(a - b)^2 <= FLIP_TOL, and can be an amplitude-damping hit or come closer to
+1/2 than the closest approach decided so far only if 1/2 - R s <=
+max(closest, AD_TOL). Only those rows are charted in float64 and counted:
+all of the small first chunk, which gives the sieve its running closest
+approach, then fewer as it shrinks: under 3 in 1000 rows over n = 2e6. Every
+float64 step works row by row, so a kept row gets the bits it would get in a
+pass over all draws: the report is the one-pass float64 one, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,38 +50,25 @@ from .channel import AD_TOL, FLIP_TOL
 from .errors import InvalidInput
 
 _DRAWS_PER_SAMPLE = 5
-# Rows drawn and screened at a time. A chunk's draws take 320 KiB and each
-# float32 temporary 32 KiB, so its working set stays in cache. On a 2-vCPU VM,
-# in two sets of seven alternating run_census(2e6) timings per size, 8192 rows
-# gave 7.3-7.4 M samples/s, and no other size from 2048 to 65536 was faster in
-# both sets (4.8-7.4 M/s).
-CHUNK_ROWS = 8192
+# Rows drawn and sieved at a time. A chunk's draws take 640 KiB and each
+# float64 temporary 128 KiB, so its working set stays in the 2 MiB of L2 per
+# core. On a 2-vCPU VM, in two sets of seven alternating run_census(2e6)
+# timings per size, 16384 rows gave 11.5 and 12.3 M samples/s, faster in both
+# sets than 4096, 8192, 32768 and 65536 (10.2-11.6 M/s).
+CHUNK_ROWS = 16384
+# Rows of the first chunk. The sieve keeps every row until some closest
+# approach is known, so a small first chunk gives it one for the cost of
+# charting 256 rows, not a whole chunk: with a first chunk of CHUNK_ROWS,
+# an n = 1e4 call took 5.6 ms instead of 1.4 ms.
+_FIRST_ROWS = 256
+# Absolute margin on both sieve bounds, far above their float64 rounding and
+# that of the chart and kernel (a few 1e-16; a and a - b are exact on
+# Philox's multiples of 2**-53).
+_SLACK = 1e-12
 # The largest n whose every count is exact in a double. At a few million
 # samples per second it is decades of sampling, so no run that could finish
 # is refused.
 MAX_SAMPLES = 2**53
-# Screen margin: a bound on |w32 - w64|, the float32 |u x v| of a row against
-# its float64 one, 23 times over. With e = 2**-24, float32's unit roundoff,
-# and to first order in e:
-# - an angle 2 pi x or pi x rounds x, the constant and the product, so it is
-#   off by at most 3 e 2 pi = 6 pi e (t, t') or 3 pi e (p, p');
-# - numpy's accuracy tests hold float32 sin and cos to 2 ULP of the rounded
-#   result; take 4 ULP <= 8 e, so cos(t) is off by (6 pi + 8) e, cos(p) by
-#   (3 pi + 8) e;
-# - r, and s = sqrt(1 - r^2) taken in float64, are rounded once: e relative;
-# - ux = r (cos(t) cos(p)) adds two product roundings: |dux| <=
-#   r (1 + 9 pi + 16 + 2) e = 47.3 r e, as for uy; uz = r sin(p) has
-#   (1 + 3 pi + 8 + 1) e = 19.4 r e; so |du| <= 69.6 r e, and |dv| <= 69.6 s e;
-# - |d(u x v)| <= |du| |v| + |u| |dv| <= 2 r s 69.6 e <= 69.6 e, as r s <= 1/2;
-#   each cross component rounds two products and their difference, at most
-#   2 r s e <= e each, sqrt(3) e as a vector;
-# - the norm rounds three squares, two sums and a root: 2.5 e relative on
-#   |u x v| <= 1/2, at most 1.5 e.
-# The sum is 72.8 e = 4.4e-6. Underflow adds at most 2**-149 per operation,
-# and the float64 reference's own rounding is 2**29 times smaller than the
-# float32 terms; the margin absorbs both and the float32 rounding of the
-# screen's thresholds. tests/test_census.py measures the largest |w32 - w64|.
-SCREEN_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -93,16 +90,10 @@ class CensusReport:
         return asdict(self)
 
 
-def _chart(x: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, ...]:
-    """(ux, uy, uz, vx, vy, vz) in ``dtype`` for an (n, 5) float64 array of uniform [0, 1) draws.
-
-    s = sqrt(1 - R^2) is always taken in float64 and then rounded: it is
-    ill-conditioned as R -> 1, where from a float32 R it is off by up to
-    2.4e-4 (all of s, once R rounds to 1).
-    """
-    s = np.sqrt(np.clip(1.0 - x[:, 0] * x[:, 0], 0.0, None)).astype(dtype, copy=False)
-    x = x.astype(dtype, copy=False)
+def _chart(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(ux, uy, uz, vx, vy, vz) for an (n, 5) array of uniform [0, 1) draws."""
     r = x[:, 0]
+    s = np.sqrt(np.clip(1.0 - r * r, 0.0, None))
     theta = 2.0 * np.pi * x[:, 1]
     theta_prime = 2.0 * np.pi * x[:, 2]
     phi = np.pi * x[:, 3]
@@ -141,29 +132,33 @@ def count_hits(w_norm: np.ndarray) -> tuple[int, int, float]:
     """(flip hits, amplitude-damping hits, min ||u x v| - 1/2|) over an array of |u x v|.
 
     A hit lies within FLIP_TOL of |u x v| = 0 or AD_TOL of |u x v| = 1/2,
-    the surfaces classify and predict_dissipative use.
+    the surfaces classify and predict_dissipative use. An empty array has no
+    hits and an infinite minimum.
     """
     ad_dist = np.abs(w_norm - 0.5)
     return (
         int(np.count_nonzero(w_norm <= FLIP_TOL)),
         int(np.count_nonzero(ad_dist <= AD_TOL)),
-        float(ad_dist.min()),
+        float(ad_dist.min(initial=math.inf)),
     )
 
 
-def _screen(draws: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a chunk whose float64 |u x v| can change its count_hits.
+def _sieve(x: np.ndarray, closest: float) -> np.ndarray:
+    """Mask of the rows of draws x that can be a hit or come within ``closest`` of |u x v| = 1/2.
 
-    With |w32 - w64| <= SCREEN_TOL per row, a flip hit has w32 <= FLIP_TOL +
-    SCREEN_TOL. Let m be the chunk's smallest |w32 - 1/2|. The row closest
-    to 1/2 in float64 has |w32 - 1/2| <= m + 2 SCREEN_TOL, and so does an
-    amplitude-damping hit, whose |w32 - 1/2| is at most AD_TOL + SCREEN_TOL
-    <= 2 SCREEN_TOL. The row at m always qualifies, so the mask is never
-    empty.
+    The two bounds of the module docstring, squared, with _SLACK; with
+    closest = inf every row is kept.
     """
-    w = cross_norm(*_chart(draws, np.float32))
-    ad_dist = np.abs(w - 0.5)
-    return (w <= FLIP_TOL + SCREEN_TOL) | (ad_dist <= float(ad_dist.min()) + 2.0 * SCREEN_TOL)
+    rs2 = x[:, 0] * x[:, 0]
+    rs2 *= 1.0 - rs2  # (R s)^2
+    flip = np.abs(x[:, 3] - 0.5)
+    flip -= np.abs(x[:, 4] - 0.5)  # a - b
+    flip *= flip
+    flip *= flip
+    flip *= rs2  # (R s)^2 (a - b)^4
+    keep = rs2 >= max(0.5 - max(closest, AD_TOL) - _SLACK, 0.0) ** 2
+    keep |= flip <= 0.5 * (FLIP_TOL + _SLACK) ** 2
+    return keep
 
 
 def _integer(value, field: str) -> int:
@@ -180,7 +175,7 @@ def run_census(n: int, seed: int = 0) -> CensusReport:
 
     The draws come from one Philox stream seeded with ``seed``, five per
     sample, so a run of n samples is a prefix of any longer run. They are
-    drawn, screened and counted CHUNK_ROWS samples at a time; the report is
+    drawn, sieved and counted CHUNK_ROWS samples at a time; the report is
     the one a single float64 pass over all n samples gives, bit for bit.
     """
     n = _integer(n, "n")
@@ -194,12 +189,14 @@ def run_census(n: int, seed: int = 0) -> CensusReport:
     rng = np.random.Generator(np.random.Philox(seed))
     n_flip = n_ad = 0
     min_ad = math.inf
-    for start in range(0, n, CHUNK_ROWS):
-        draws = rng.random((min(CHUNK_ROWS, n - start), _DRAWS_PER_SAMPLE))
-        flip, ad, closest = count_hits(cross_norm(*_chart(draws[_screen(draws)])))
+    done, rows = 0, _FIRST_ROWS
+    while done < n:
+        draws = rng.random((min(rows, n - done), _DRAWS_PER_SAMPLE))
+        flip, ad, closest = count_hits(cross_norm(*_chart(draws[_sieve(draws, min_ad)])))
         n_flip += flip
         n_ad += ad
         min_ad = min(min_ad, closest)
+        done, rows = done + len(draws), CHUNK_ROWS
     return CensusReport(
         n_samples=n,
         n_flip_hits=n_flip,

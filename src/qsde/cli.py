@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from decimal import Decimal
 
 import numpy as np
 
@@ -79,20 +80,29 @@ def _number(value, field: str) -> float:
 
 
 def _integer(value, field: str) -> int:
-    """An integer; an integral number such as JSON's 1e3 counts, as text too."""
+    """An integer; an integral number such as JSON's 1e3 counts, as text too.
+
+    Text is read exactly, so --seed 1e30 is 10**30, within a double's range.
+    A JSON float of 2**53 or more is refused: it may not be the integer that
+    was written (9007199254740993.0 parses as 2**53).
+    """
     number = value
-    if isinstance(value, str):  # flag text or a config string; int() keeps big seeds exact
-        try:
-            number = int(value)
-        except ValueError:
-            with contextlib.suppress(ValueError):
-                number = float(value)
-    try:
-        if isinstance(number, bool) or (isinstance(number, float) and not number.is_integer()):
-            raise TypeError
+    if isinstance(value, str):  # flag text or a config string
+        with contextlib.suppress(ValueError, ArithmeticError):
+            if math.isfinite(float(value)):  # bounds the exponent that int() would expand
+                number = Decimal(value)
+    if isinstance(number, Decimal) and number == number.to_integral_value():
         return int(number)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(field, f"expected an integer, got {value!r}")
+    if isinstance(number, int) and not isinstance(number, bool):
+        return number
+    if isinstance(number, float) and number.is_integer():
+        if abs(number) >= 2**53:
+            raise InvalidInput(
+                field, f"a JSON float of 2**53 or more may not be the integer written, got {value!r}; "
+                "write it without a fraction or exponent"
+            )
+        return int(number)
+    raise InvalidInput(field, f"expected an integer, got {value!r}")
 
 
 def _numbers(value, field: str) -> list[float]:

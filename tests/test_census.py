@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import census_one_shot
+from qsde import census
 from qsde.census import (
+    _FIRST_ROWS,
+    _SLACK,
     CHUNK_ROWS,
-    SCREEN_TOL,
     _chart,
-    _screen,
+    _sieve,
     count_hits,
     cross_norm,
     run_census,
@@ -98,20 +100,29 @@ def test_fused_kernel_is_np_cross_and_norm_bit_for_bit():
     assert np.array_equal(cross_norm(*u.T, *v.T), np_cross_norm(u, v))
 
 
-@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7, 2**18 + 5])
+# every chunk boundary (the first chunk, then CHUNK_ROWS at a time) and sizes inside chunks
+BOUNDARIES = [b + d for b in (_FIRST_ROWS, _FIRST_ROWS + CHUNK_ROWS) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("n", sorted({1, 8191, 8192, 8193, 24583, 2**18 + 5, *BOUNDARIES}))
 @pytest.mark.parametrize("seed", [0, 42, 2024])
 def test_streamed_census_equals_the_one_shot_reference(n, seed):
-    # chunked draws and the fused |u x v| kernel keep every sample's arithmetic
+    # chunked draws, the sieve and the fused |u x v| kernel keep every sample's arithmetic
     assert run_census(n, seed).to_dict() == census_one_shot(n, seed)
 
 
 def test_census_prefix_crosses_chunk_boundaries():
     # each run is a prefix of the longest: its report is that prefix's, exactly
-    n_max = 2 * CHUNK_ROWS + 3
+    n_max = _FIRST_ROWS + 2 * CHUNK_ROWS + 3
     w_norm = np_cross_norm(*uv_from_draws(draws(9, n_max)))
-    for n in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS, n_max):
+    for n in (*BOUNDARIES, _FIRST_ROWS + 2 * CHUNK_ROWS, n_max):
         report = run_census(n, seed=9)
         assert (report.n_flip_hits, report.n_ad_hits, report.min_distance_to_ad) == count_hits(w_norm[:n])
+
+
+def test_count_hits_of_no_rows():
+    # a chunk's sieve may keep no rows
+    assert count_hits(np.empty(0)) == (0, 0, math.inf)
 
 
 def test_census_memory_does_not_grow_with_n():
@@ -191,80 +202,126 @@ def test_run_census_reports_numpy_and_integral_inputs_as_int():
         assert type(report.n_samples) is int and type(report.seed) is int
 
 
-# The float32 screen: each chunk's |u x v| is taken in float32, and only the
-# rows that can change the chunk's count_hits are decided in float64.
+# The sieve: two bounds on |u x v| from the raw draws pick the rows of a chunk
+# that are charted in float64. With R = x0, s = sqrt(1 - R^2), a = |x3 - 1/2|
+# and b = |x4 - 1/2|: sqrt(2) R s (a - b)^2 <= |u x v| <= R s.
 
-_ALMOST_ONE = 1.0 - 2.0**-53
 
-
-def test_screen_margin_covers_the_amplitude_damping_band():
-    # _screen finds amplitude-damping hits through its closest-row rule alone
-    assert AD_TOL <= SCREEN_TOL
+def _adversarial_draws(n, seed):
+    # rows where the bounds are tight or the chart is ill-conditioned
+    x = draws(seed, n)
+    rng = np.random.default_rng(seed)
+    k = n // 6
+    x[:k, 2], x[:k, 4] = x[:k, 1], x[:k, 3]  # u || v
+    x[k : 2 * k, 2] = (x[k : 2 * k, 1] + 0.5) % 1.0  # u = -v, on the equator
+    x[k : 2 * k, 3:] = 0.0
+    x[2 * k : 3 * k, 4] = x[2 * k : 3 * k, 3]  # p = p'
+    x[3 * k : 4 * k, 4] = 1.0 - x[3 * k : 4 * k, 3]  # p' = pi - p
+    x[4 * k : 5 * k, 0] = 1.0 - rng.integers(1, 2**20, k) * 2.0**-53  # R -> 1
+    x[5 * k :, 0] = 1.0 / math.sqrt(2.0) + rng.uniform(-5e-7, 5e-7, n - 5 * k)  # R s -> 1/2
+    return x
 
 
 def test_screen_error_is_at_most_a_tenth_of_its_margin():
-    x = draws(31, 200_000)
-    rng = np.random.default_rng(31)
-    x[:20_000, 0] = 1.0 - rng.random(20_000) * 2.0**-20  # r -> 1, where s is ill-conditioned
-    x[20_000:20_010, 0] = 1.0 - np.arange(10) * 2.0**-53
-    x[20_010:20_020, 0] = 0.0
-    x[20_020:20_040, 0] = 1.0
-    corners = np.array(np.meshgrid(*[[0.0, _ALMOST_ONE]] * 4)).reshape(4, -1).T
-    x[30_000 : 30_000 + len(corners), 1:] = corners  # every angle draw at 0 or just below 1
-    x[40_000 : 40_000 + len(corners), 1:] = corners
-    x[40_000 : 40_000 + len(corners), 0] = 1.0 / math.sqrt(2.0)
-    x[np.arange(50_000, 60_000), 1 + rng.integers(0, 4, 10_000)] = rng.choice([0.0, _ALMOST_ONE], 10_000)
-    w32 = cross_norm(*_chart(x, np.float32))
-    assert w32.dtype == np.float32
-    assert float(np.max(np.abs(w32.astype(np.float64) - cross_norm(*_chart(x))))) <= SCREEN_TOL / 10.0
+    # both sieve bounds hold on the float64 |u x v| within _SLACK / 10
+    x = np.concatenate([draws(31, 1_000_000), _adversarial_draws(300_000, 32)])
+    w = cross_norm(*_chart(x))
+    rs = x[:, 0] * np.sqrt(1.0 - x[:, 0] ** 2)
+    d = np.abs(x[:, 3] - 0.5) - np.abs(x[:, 4] - 0.5)
+    assert float(np.max(w - rs)) <= _SLACK / 10.0
+    assert float(np.max(math.sqrt(2.0) * rs * d * d - w)) <= _SLACK / 10.0
 
 
-def _row_with_w(m):
-    # theta = phi = phi' = 0 and theta' = pi/2 give |u x v| = R sqrt(1 - R^2) = m:
-    # the small root of R^2 for the flip band, the large one for amplitude damping
+def _row_with_w(m, x3=0.0):
+    # u = R (cos p, 0, sin p) and v = (0, s, 0) are orthogonal, so |u x v| =
+    # R sqrt(1 - R^2) = m: the small root of R^2 for the flip band, the large
+    # one for amplitude damping; x3 != 1/2 puts a - b away from 0
     root = math.sqrt(1.0 - 4.0 * m * m)
     r2 = 2.0 * m * m / (1.0 + root) if m < 0.25 else 0.5 * (1.0 + root)
-    return [math.sqrt(r2), 0.0, 0.25, 0.0, 0.0]
+    return [math.sqrt(r2), 0.0, 0.25, x3, 0.0]
 
 
 PLANTED = [
     ([1.0, 0.11, 0.18, 0.13, 0.64], "flip"),  # r = 1: v = 0
     ([1.0 / math.sqrt(2.0), 0.0, 0.75, 0.0, 0.0], "ad"),  # the amplitude-damping calibration row
-    (_row_with_w(0.999 * FLIP_TOL), "flip"),
-    (_row_with_w(1.001 * FLIP_TOL), None),
-    (_row_with_w(0.5 - 0.999 * AD_TOL), "ad"),
-    (_row_with_w(0.5 - 1.001 * AD_TOL), None),
+] + [
+    (_row_with_w(w, x3), hit)
+    for x3 in (0.0, 0.3)
+    for w, hit in (
+        (0.999 * FLIP_TOL, "flip"),
+        (1.001 * FLIP_TOL, None),
+        (0.5 - 0.999 * AD_TOL, "ad"),
+        (0.5 - 1.001 * AD_TOL, None),
+    )
 ]
+CLOSEST = [1e-12, 1e-9, 1e-6, 1e-4, math.inf]
+
+
+def _ad_band_edges():
+    # rows about one ulp of R apart around both R with R s = 1/2 - AD_TOL,
+    # where float64 rounding alone decides whether |u x v| is in the band
+    root = math.sqrt(1.0 - 4.0 * (0.5 - AD_TOL) ** 2)
+    edges = (math.sqrt(0.5 * (1.0 - root)), math.sqrt(0.5 * (1.0 + root)))
+    x = np.zeros((2 * 200_001, 5))
+    x[:, 0] = np.concatenate([np.linspace(r - 1e-11, r + 1e-11, 200_001) for r in edges])
+    x[:, 2:4] = 0.25, 0.3
+    return x
+
+
+def test_screen_margin_covers_the_amplitude_damping_band():
+    # whatever the closest approach so far, every row within AD_TOL of 1/2 is
+    # kept, up to the rows that float64 rounding puts on the band's edge
+    # (without _SLACK the sieve drops some of those)
+    x = np.array([_row_with_w(0.5 - f * AD_TOL, x3) for f in np.linspace(0.0, 0.999, 101) for x3 in (0.2, 0.3)])
+    assert (np.abs(cross_norm(*_chart(x)) - 0.5) <= AD_TOL).all()
+    edges = _ad_band_edges()
+    hits = edges[np.abs(cross_norm(*_chart(edges)) - 0.5) <= AD_TOL]
+    assert 0 < len(hits) < len(edges)
+    for closest in (0.0, *CLOSEST):
+        assert _sieve(x, closest).all()
+        assert _sieve(hits, closest).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_screen_keeps_every_row_that_decides_the_chunk(seed):
-    x = draws(seed, CHUNK_ROWS)
+    x = np.concatenate([draws(seed, CHUNK_ROWS), _adversarial_draws(60_000, seed)])
     at = np.random.default_rng(seed).choice(CHUNK_ROWS, len(PLANTED), replace=False)
     x[at] = [row for row, _ in PLANTED]
     w64 = cross_norm(*_chart(x))
     # each planted row lands on the side of its band it was built for
     assert [bool(w64[i] <= FLIP_TOL) for i in at] == [hit == "flip" for _, hit in PLANTED]
     assert [bool(abs(w64[i] - 0.5) <= AD_TOL) for i in at] == [hit == "ad" for _, hit in PLANTED]
-    keep = _screen(x)
-    assert keep[at].all()
     exact = count_hits(w64)
-    assert exact[:2] == (2, 2)
-    assert count_hits(cross_norm(*_chart(x[keep]))) == exact
+    for closest in CLOSEST:
+        keep = _sieve(x, closest)
+        assert keep[at].all()
+        # every hit and every row nearer 1/2 than the closest approach so far is kept
+        assert keep[(w64 <= FLIP_TOL) | (np.abs(w64 - 0.5) <= max(closest, AD_TOL))].all()
+        flip, ad, nearest = count_hits(cross_norm(*_chart(x[keep])))
+        assert (flip, ad, min(closest, nearest)) == (*exact[:2], min(closest, exact[2]))
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_screen_leaves_float64_a_handful_of_rows(seed):
-    x = draws(seed, CHUNK_ROWS)
-    keep = _screen(x)
-    assert count_hits(cross_norm(*_chart(x[keep]))) == count_hits(cross_norm(*_chart(x)))
-    # the float64 pass is the slow one: the screen must leave it a handful of rows
-    assert np.count_nonzero(keep) <= 64
+def test_screen_leaves_float64_a_handful_of_rows(seed, monkeypatch):
+    kept = []
+
+    def counting_sieve(x, closest):
+        keep = _sieve(x, closest)
+        kept.append(int(np.count_nonzero(keep)))
+        return keep
+
+    monkeypatch.setattr(census, "_sieve", counting_sieve)
+    n = 2_000_000
+    run_census(n, seed)
+    # the first chunk is decided whole; after it the float64 pass, the slow
+    # one, sees a few rows in a thousand
+    assert kept[0] == _FIRST_ROWS
+    assert sum(kept) <= n // 256
 
 
 @pytest.mark.parametrize("density", [0.0005, 0.1, 0.5, 0.9])
 def test_float64_chart_and_kernel_are_row_by_row_bit_for_bit(density):
-    # the screen's bit-identity rests on this: a row's |u x v| does not depend
+    # the sieve's bit-identity rests on this: a row's |u x v| does not depend
     # on which other rows are charted with it
     x = draws(13, 3 * CHUNK_ROWS + 7)
     w = cross_norm(*_chart(x))

@@ -363,6 +363,51 @@ def test_flag_value_that_is_not_a_number_is_config_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "text, seed",
+    [("1e30", 10**30), ("1.5e30", 15 * 10**29), ("12345678901234567890123", 12345678901234567890123),
+     ("9007199254740993", 2**53 + 1), ("1000e-3", 1), ("0e999999999", 0)],
+)
+def test_integer_text_is_read_exactly(capsys, text, seed):
+    # through a double, 1e30 would run and echo seed 1000000000000000019884624838656
+    code, stdout, _ = run_cli(["census", "--n", "10", "--seed", text], capsys)
+    assert code == 0
+    assert json.loads(stdout)["seed"] == seed
+    assert stdout == run_cli(["census", "--n", "10", "--seed", str(seed)], capsys)[1]
+
+
+@pytest.mark.parametrize("text", ["1e-999999999", "1e400", "1e999999999", "2.5e-1"])
+def test_integer_text_that_is_no_integer_in_range_is_config_error(capsys, text):
+    # a huge exponent is refused at once, never expanded into its digits
+    code, stdout, err = run_cli(["census", "--n", "10", "--seed", text], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: seed: expected an integer, got '{text}'\n"
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("census", '{"n": 10, "seed": 1e17}', "seed"),
+    ("census", '{"n": 10, "seed": 9007199254740993.0}', "seed"),  # parses as 2**53
+    ("census", '{"n": 10, "seed": -9007199254740992.0}', "seed"),
+    ("census", '{"n": 1e30}', "n"),
+    ("trajectory", '{"coupling1": "appc:0.3", "coupling2": "appc:0.3", "state": "plus:0.5", '
+     '"grid": {"end": 1, "points": 1e20}}', "grid.points"),
+])
+def test_json_float_beyond_two_to_the_53_is_config_error(tmp_path, capsys, command, payload, field):
+    path = tmp_path / "run.json"
+    path.write_text(payload)
+    code, stdout, err = run_cli([command, "--config", str(path)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {field}: a JSON float of 2**53 or more may not be the integer written, got ")
+
+
+def test_json_float_below_two_to_the_53_is_exact(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"n": 10, "seed": 9007199254740991.0}')
+    code, stdout, _ = run_cli(["census", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(stdout)["seed"] == 2**53 - 1
+
+
 @pytest.mark.parametrize("key", ["sed", "flip_tol"])
 def test_unknown_config_key_is_config_error(tmp_path, capsys, key):
     path = tmp_path / "run.json"
