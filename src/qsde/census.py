@@ -110,12 +110,6 @@ def _chart(x: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map an (n, 5) array of uniform [0, 1) draws through the chart to (u, v) rows."""
-    ux, uy, uz, vx, vy, vz = _chart(x)
-    return np.stack([ux, uy, uz], axis=1), np.stack([vx, vy, vz], axis=1)
-
-
 def cross_norm(ux, uy, uz, vx, vy, vz) -> np.ndarray:
     """|u x v| per sample, bit for bit np.linalg.norm(np.cross(u, v), axis=1).
 

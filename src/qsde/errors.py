@@ -27,4 +27,4 @@ class NotEntangled(QsdeError):
 
 
 class GridTooCoarse(QsdeError):
-    """Time grid cannot bracket the sign change reliably."""
+    """The time grid ends before a crossing that the long-time limit guarantees."""

@@ -105,18 +105,12 @@ def concurrence(rho) -> ConcurrenceResult:
     matrix sqrt(rho) (sy (x) sy) rho* (sy (x) sy) sqrt(rho), and
     lam = l_1 - l_2 - l_3 - l_4 with C = max(0, lam).
 
-    Both spectra, of rho and of the similar matrix, go through the PSD rule
-    of linalg.psd_spectrum. The similar matrix is PSD in exact arithmetic,
-    so on a valid state the rule only clips and snaps: eigenvalues below
-    the relative spectral floor become exact zeros before the square root;
-    otherwise eigensolver noise of order eps would surface as spurious
-    sqrt(eps)-sized roots on low-rank states.
-    The price is resolution: a genuine eigenvalue of rho under the floor is
-    dropped along with the noise, so the roots, and lam, are resolved only
-    to sqrt(RELATIVE_SPECTRAL_ZERO) ~ 1.2e-7, and inside that band the sign
-    of lam is not meaningful. On the parallel state under double amplitude
-    damping lam drifts from its closed form by up to 1.5e-8 (weight 0.2)
-    and 4.8e-8 (weight 0.8).
+    Both spectra go through linalg.psd_spectrum, whose relative snap keeps
+    eigensolver noise from surfacing as sqrt(eps)-sized roots on low-rank
+    states. The price is resolution: lam is good only to
+    sqrt(RELATIVE_SPECTRAL_ZERO) ~ 1.2e-7 (on the parallel state under
+    double amplitude damping it drifts from its closed form by up to
+    4.8e-8), so the death-time scan reads the sign of pt_min instead.
     """
     rho = np.asarray(rho, dtype=complex)
     root = sqrt_psd(rho)
@@ -127,12 +121,26 @@ def concurrence(rho) -> ConcurrenceResult:
     return ConcurrenceResult(lam=lam, concurrence=max(0.0, lam), roots=roots)
 
 
-def lambda_at(rho0, c1: Coupling, c2: Coupling, t: float) -> float:
-    """lam of the pair state at time t; one Coupling given for both qubits is built once."""
+def state_at(rho0, c1: Coupling, c2: Coupling, t: float) -> np.ndarray:
+    """The pair state at time t; one Coupling given for both qubits is built once."""
     kraus1 = kraus_of_coupling(c1, t)
     kraus2 = kraus1 if c2 is c1 else kraus_of_coupling(c2, t)
-    evolved = evolve_pair(rho0, kraus1, kraus2)
-    return concurrence(evolved).lam
+    return evolve_pair(rho0, kraus1, kraus2)
+
+
+def lambda_at(rho0, c1: Coupling, c2: Coupling, t: float) -> float:
+    """lam of the pair state at time t."""
+    return concurrence(state_at(rho0, c1, c2, t)).lam
+
+
+def pt_min(rho) -> float:
+    """Smallest eigenvalue of the qubit-2 partial transpose of rho, in [-1/2, 1] for a state.
+
+    A two-qubit state is entangled exactly when it is negative (Peres-Horodecki);
+    one eigvalsh and no square root resolve its sign to ~eps.
+    """
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return float(np.linalg.eigvalsh(pt)[0])
 
 
 def default_grid(gamma: float = 1.0) -> np.ndarray:
@@ -144,18 +152,23 @@ def default_grid(gamma: float = 1.0) -> np.ndarray:
     return np.linspace(0.0, DEFAULT_GRID_SPAN / gamma, DEFAULT_GRID_POINTS)
 
 
-def lambda_trajectory(rho0, c1: Coupling, c2: Coupling, grid) -> list[tuple[float, float, float]]:
-    """(t, lam, concurrence) records along a strictly increasing grid from 0."""
+def check_grid(grid) -> np.ndarray:
+    """The grid rule of every time scan: a non-empty 1-d array, from t = 0, strictly increasing."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise InvalidInput("grid", "grid must be a non-empty 1-d array of times")
     if grid[0] != 0.0:
         raise InvalidInput("grid", "grid must start at t = 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
+    if not np.all(np.diff(grid) > 0.0):
         raise InvalidInput("grid", "grid must be strictly increasing")
+    return grid
+
+
+def lambda_trajectory(rho0, c1: Coupling, c2: Coupling, grid) -> list[tuple[float, float, float]]:
+    """(t, lam, concurrence) records along a grid that passes check_grid."""
     rho0 = np.asarray(rho0, dtype=complex)
     records = []
-    for t in grid:
+    for t in check_grid(grid):
         lam = lambda_at(rho0, c1, c2, t)
         records.append((float(t), lam, max(0.0, lam)))
     return records

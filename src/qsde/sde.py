@@ -13,8 +13,10 @@ Two closed-form criteria cover the pure regimes:
   (standard amplitude damping) the criterion is silent: sudden death may
   or may not occur.
 
-Mixed flip/dissipative pairs are handled numerically from the lam(t)
-trajectory.
+Mixed flip/dissipative pairs are handled numerically. Every route scans
+for the death time tau on the sign of mu(t) = pair.pt_min, negative exactly
+while the pair is entangled; local channels keep separable states
+separable, so entanglement holds on one interval [0, tau) and never revives.
 """
 
 from __future__ import annotations
@@ -26,23 +28,19 @@ import numpy as np
 
 from .channel import AD_TOL, Coupling, Dissipative, Flip, bloch_to_rho, classify
 from .errors import GridTooCoarse, NotEntangled
-from .pair import check_state, concurrence, default_grid, lambda_at, lambda_trajectory
+from .linalg import RELATIVE_SPECTRAL_ZERO
+from .pair import check_grid, check_state, concurrence, default_grid, lambda_at, pt_min, state_at
+from .pair import lambda_trajectory  # noqa: F401  (perfbench/tracing.py wraps it under this name)
 
 # A flip-axis weight at or below this counts as zero. Each weight is a trace of
 # products with no square root, so its rounding error is about eps * |rho0| ~
 # 1e-16: an exact zero reads four orders of magnitude below this bound.
 ZERO_DIAGONAL_TOL = 1e-12
-# lam values inside (-CROSSING_FLOOR, CROSSING_FLOOR) count as zero, so only a
-# drop below -CROSSING_FLOOR counts as a genuine sign change. The floor keeps
-# rounding noise on a lam at or near zero from reading as a crossing; it is
-# not the resolution of lam. concurrence snaps eigenvalues below RELATIVE_SPECTRAL_ZERO times the
-# largest, so lam is resolved only to sqrt(RELATIVE_SPECTRAL_ZERO) ~ 1.2e-7:
-# the measured drift from the closed form on the amplitude-damping surface is
-# 1.5e-8 to 4.8e-8, 15 to 48 times this floor. Inside that band the sign of
-# lam is not meaningful (the weight-0.8 parallel state under double damping
-# reads +2.0e-14 at gamma*t ~ 7.92, where the closed form gives -1.4e-14).
+# A long-time limit lambda_inf below -CROSSING_FLOOR guarantees a crossing, so
+# a scan that finds none raises GridTooCoarse; a limit at or above it, such as
+# the exact 0 on the amplitude-damping surface, guarantees nothing. The floor
+# sits above the ~1e-12 rounding of the closed forms for lambda_inf.
 CROSSING_FLOOR = 1e-9
-GAP_TOL = 0.5
 TAU_TOL = 1e-9
 
 METHOD_FLIP = "flip-criterion"
@@ -100,51 +98,36 @@ def predict_dissipative(c1: Coupling, c2: Coupling) -> SdeVerdict:
     return SdeVerdict("yes" if covered else "not-covered", lam_inf, None, METHOD_DISSIPATIVE)
 
 
-def detect_tau(traj, lambda_of_t, lambda_inf: float | None = None) -> float | None:
-    """Locate the first time lam(t) crosses zero on a trajectory.
+def detect_tau(times, mu, mu_of_t, lambda_inf: float | None = None) -> float | None:
+    """The death time tau from mu = mu_of_t(times) on a grid that passes pair.check_grid.
 
-    ``traj`` is a non-empty sequence of (t, lam, ...) records from t = 0;
-    lam(0) <= 0 raises NotEntangled, as the scan must start entangled. A
-    crossing is registered when lam drops below -1e-9 (values inside the
-    noise band around zero do not count). The bracket is then refined to
-    TAU_TOL by bisection on ``lambda_of_t``, recomputed from the exact
-    channel at each candidate time.
-
-    Returns None when lam stays positive on the whole grid and the supplied
-    lambda_inf (if any) is >= -1e-9. Raises GridTooCoarse when the bracket
-    spans more than GAP_TOL in time, or when the grid ends before a
-    crossing that lambda_inf < -1e-9 guarantees.
+    With floor = RELATIVE_SPECTRAL_ZERO, the scan must start entangled,
+    mu[0] < -floor, or NotEntangled is raised. The first grid point with
+    mu >= floor witnesses separability; as entanglement never revives, tau
+    lies between it and the grid point before, and bisection on
+    mu_of_t(mid) >= floor narrows that bracket to TAU_TOL. With no witness,
+    returns None, or raises GridTooCoarse if lambda_inf (when given) is below
+    -CROSSING_FLOOR and so guarantees a crossing past the grid.
     """
-    times = [float(row[0]) for row in traj]
-    lams = [float(row[1]) for row in traj]
-    if lams[0] <= 0.0:  # at the separable boundary the Kraus route can read lam(0) <= 0
-        raise NotEntangled(f"initial state is not entangled on the scan: lam(0) = {lams[0]:.3e}")
-
-    neg = next((i for i, lam in enumerate(lams) if lam < -CROSSING_FLOOR), None)
-    if neg is None:
+    floor = RELATIVE_SPECTRAL_ZERO  # the partial transpose of a state has spectrum in [-1/2, 1]
+    if not mu[0] < -floor:
+        raise NotEntangled(f"initial state is not entangled on the scan: mu(0) = {mu[0]:.3e}")
+    witness = next((i for i, m in enumerate(mu) if m >= floor), None)
+    if witness is None:
         if lambda_inf is not None and lambda_inf < -CROSSING_FLOOR:
             raise GridTooCoarse(
-                "lam stays positive on the grid but its long-time limit is "
-                f"{lambda_inf:.3e}; extend the grid past the crossing"
+                "the grid ends before the crossing that the long-time limit "
+                f"lambda_inf = {lambda_inf:.3e} guarantees; extend the grid"
             )
         return None
 
-    pos = neg - 1
-    while pos > 0 and lams[pos] <= CROSSING_FLOOR:
-        pos -= 1
-    if times[neg] - times[pos] > GAP_TOL:
-        raise GridTooCoarse(
-            f"sign change straddles a gap of {times[neg] - times[pos]:.3g} "
-            f"(> {GAP_TOL:g}) in time"
-        )
-
-    lo, hi = times[pos], times[neg]
+    lo, hi = float(times[witness - 1]), float(times[witness])
     while hi - lo > TAU_TOL:
         mid = 0.5 * (lo + hi)
-        if lambda_of_t(mid) > 0.0:
-            lo = mid
-        else:
+        if mu_of_t(mid) >= floor:
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 
@@ -153,11 +136,12 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
 
     Dispatches to the flip or dissipative criterion when both couplings
     share a class, otherwise falls back to the numerical route. In every
-    case the lam(t) trajectory is scanned and tau is filled when a crossing
-    lies on the grid (the dissipative "not-covered" verdict can still come
-    with a finite tau). rho0 is checked here, once, by pair.check_state, and
-    the grid by lambda_trajectory; their errors propagate. A separable rho0,
-    or one whose scan reads lam(0) <= 0 (detect_tau), raises NotEntangled.
+    case mu(t) is scanned on the grid and tau is filled when a crossing
+    lies on it (the dissipative "not-covered" verdict can still come with a
+    finite tau). rho0 is checked here, once, by pair.check_state, and the
+    grid by pair.check_grid; their errors propagate. A separable rho0, or
+    one whose scan does not start at mu(0) < -RELATIVE_SPECTRAL_ZERO
+    (detect_tau), raises NotEntangled.
     """
     rho0 = check_state(rho0)
     if concurrence(rho0).concurrence <= 0.0:
@@ -175,11 +159,11 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
         lam_late = lambda_at(rho0, c1, c2, 20.0 / gamma_min)
         verdict = SdeVerdict("no", lam_late, None, METHOD_NUMERICAL)
 
-    tau = detect_tau(
-        lambda_trajectory(rho0, c1, c2, grid),
-        lambda_of_t=lambda t: lambda_at(rho0, c1, c2, t),
-        lambda_inf=verdict.lambda_inf,
-    )
+    def mu_of_t(t):
+        return pt_min(state_at(rho0, c1, c2, t))
+
+    times = check_grid(grid)
+    tau = detect_tau(times, [mu_of_t(t) for t in times], mu_of_t, verdict.lambda_inf)
     if verdict.method == METHOD_NUMERICAL:
         verdict = replace(verdict, predicted="yes" if tau is not None else "no")
     return replace(verdict, tau=tau)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsde.census import CensusReport, count_hits, uv_from_draws
+from qsde.census import CensusReport, _chart, count_hits
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho
 from qsde.linalg import dot_sigma
+from qsde.pair import check_grid, pt_min, state_at
+
+
+def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map an (n, 5) array of uniform [0, 1) draws through the census chart to (u, v) rows."""
+    ux, uy, uz, vx, vy, vz = _chart(x)
+    return np.stack([ux, uy, uz], axis=1), np.stack([vx, vy, vz], axis=1)
 
 
 def census_one_shot(n: int, seed: int) -> dict:
@@ -14,6 +21,15 @@ def census_one_shot(n: int, seed: int) -> dict:
     u, v = uv_from_draws(np.random.Generator(np.random.Philox(seed)).random((n, 5)))
     n_flip, n_ad, min_ad = count_hits(np.linalg.norm(np.cross(u, v), axis=1))
     return CensusReport(n, n_flip, n_ad, FLIP_TOL, AD_TOL, min_ad, seed).to_dict()
+
+
+def mu_scan(rho0, c1: Coupling, c2: Coupling, grid) -> tuple:
+    """(times, mu, mu_of_t) of sde_check's death-time scan, in detect_tau's argument order."""
+    def mu_of_t(t):
+        return pt_min(state_at(rho0, c1, c2, t))
+
+    times = check_grid(grid)
+    return times, [mu_of_t(t) for t in times], mu_of_t
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -50,6 +66,19 @@ def random_coupling(rng: np.random.Generator, gamma: float = 1.0) -> Coupling:
     if rng.random() < 0.5:
         return random_flip_coupling(rng, gamma)
     return random_dissipative_coupling(rng, gamma)
+
+
+def random_hs_state(rng: np.random.Generator, rank: int = 4) -> np.ndarray:
+    """Hilbert-Schmidt two-qubit state G G^dag / tr, G a 4 x rank complex Ginibre matrix.
+
+    rank < 4 gives a rank-deficient state, and almost every draw has all
+    sixteen entries nonzero (not an X state). The result is Hermitian bit
+    for bit.
+    """
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return 0.5 * (rho + rho.conj().T)
 
 
 def random_density2(rng: np.random.Generator) -> np.ndarray:

@@ -21,13 +21,14 @@ from qsde.channel import Coupling, bloch_to_rho, evolve, family_appc
 from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
-from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory
+from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory, pt_min, state_at
 from qsde.sde import detect_tau, predict_dissipative, predict_flip
 
 from helpers import (
     apply_channel,
     axis_frame,
     master_rhs,
+    mu_scan,
     oracle_rk4_batch,
     random_bloch,
     random_density2,
@@ -124,39 +125,45 @@ def test_c03_kraus_choi_round_trip():
     assert worst_completeness < 1e-9
 
 
+def _lam_and_mu(rho, c1, c2, grid):
+    """lam and mu at every grid point, from one evolved state per point."""
+    states = [state_at(rho, c1, c2, t) for t in grid]
+    return [concurrence(s).lam for s in states], [pt_min(s) for s in states]
+
+
 def test_c04_parallel_state_amplitude_damping():
     start = time.perf_counter()
     results = {}
     for alpha_sq in (0.2, 0.5, 0.8):
         rho = initial_state("plus", alpha_sq)
-        traj = lambda_trajectory(rho, AD, AD, GRID)
+        lams, mus = _lam_and_mu(rho, AD, AD, GRID)
         tau = detect_tau(
-            traj, lambda t: lambda_at(rho, AD, AD, t), lambda_inf=0.0
+            GRID, mus, lambda t: pt_min(state_at(rho, AD, AD, t)), lambda_inf=0.0
         )
-        results[alpha_sq] = (traj, tau)
+        results[alpha_sq] = (lams, tau)
     elapsed = time.perf_counter() - start
 
-    traj02, tau02 = results[0.2]
+    lams02, tau02 = results[0.2]
     # lam = 2 p (alpha beta - alpha^2 (1 - p)) with p = e^{-4 gamma t}; at
     # weight 0.2 this is 0.4 p (1 + p), positive but decaying through any
-    # fixed floor. With tau02 is None (no lam < -CROSSING_FLOOR) the band pins
-    # lam to [-1e-9, exact + LAM_RESOLUTION].
+    # fixed floor, and tau02 is None. lam is pinned to the exact curve
+    # within LAM_RESOLUTION.
     worst_dev_02 = max(
         abs(lam - 0.4 * math.exp(-4.0 * t) * (1.0 + math.exp(-4.0 * t)))
-        for t, lam, _ in traj02
+        for t, lam in zip(GRID, lams02)
     )
-    traj05, tau05 = results[0.5]
-    traj08, tau08 = results[0.8]
+    lams05, tau05 = results[0.5]
+    _, tau08 = results[0.8]
     lam_at_tau = abs(lambda_at(initial_state("plus", 0.8), AD, AD, tau08)) if tau08 else math.inf
 
     ok_crossings = (
         tau02 is None
         and tau05 is None
-        and abs(traj05[-1][1]) <= 1e-6
+        and abs(lams05[-1]) <= 1e-6
         and tau08 is not None
         and lam_at_tau <= 1e-6
     )
-    ok_curve = len(traj02) == GRID.size and worst_dev_02 <= LAM_RESOLUTION
+    ok_curve = len(lams02) == GRID.size and worst_dev_02 <= LAM_RESOLUTION
     ok_time = elapsed < 10.0
     tau08_text = "None" if tau08 is None else f"{tau08:.6f}"
     _report(
@@ -176,20 +183,18 @@ def test_c04_parallel_state_amplitude_damping():
 
 
 def test_c05_antiparallel_states():
-    grid = GRID
-    trajs = {}
+    lams = {}
     taus = {}
     for theta, label in ((-math.pi / 4, "ad"), (-math.pi / 5, "offad")):
         c = family_appc(theta)
         for alpha_sq in (0.2, 0.5, 0.8):
             rho = initial_state("minus", alpha_sq)
-            traj = lambda_trajectory(rho, c, c, grid)
-            trajs[(label, alpha_sq)] = traj
+            lams[(label, alpha_sq)], mus = _lam_and_mu(rho, c, c, GRID)
             taus[(label, alpha_sq)] = detect_tau(
-                traj, lambda t: lambda_at(rho, c, c, t), lambda_inf=None
+                GRID, mus, lambda t: pt_min(state_at(rho, c, c, t)), lambda_inf=None
             )
     identical = max(
-        abs(a[1] - b[1]) for a, b in zip(trajs[("ad", 0.2)], trajs[("ad", 0.8)])
+        abs(a - b) for a, b in zip(lams[("ad", 0.2)], lams[("ad", 0.8)])
     )
     no_sde_ad = all(taus[("ad", a)] is None for a in (0.2, 0.5, 0.8))
     all_sde_off = all(taus[("offad", a)] is not None for a in (0.2, 0.5, 0.8))
@@ -226,12 +231,7 @@ def test_c06_flip_criterion_equivalence_200_cases():
         c1 = Coupling(u=a1, v=np.zeros(3))
         c2 = Coupling(u=a2, v=np.zeros(3))
         verdict = predict_flip(rho, a1, a2)
-        traj = lambda_trajectory(rho, c1, c2, grid)
-        tau = detect_tau(
-            traj,
-            lambda t: lambda_at(rho, c1, c2, t),
-            lambda_inf=verdict.lambda_inf,
-        )
+        tau = detect_tau(*mu_scan(rho, c1, c2, grid), lambda_inf=verdict.lambda_inf)
         if (tau is not None) != (verdict.predicted == "yes"):
             mismatches += 1
         n_yes += verdict.predicted == "yes"

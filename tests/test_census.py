@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import census_one_shot
+from helpers import census_one_shot, uv_from_draws
 from qsde import census
 from qsde.census import (
     _FIRST_ROWS,
@@ -15,7 +15,6 @@ from qsde.census import (
     count_hits,
     cross_norm,
     run_census,
-    uv_from_draws,
 )
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify
 from qsde.errors import InvalidInput

@@ -683,7 +683,7 @@ PAIR = ["--coupling1", "appc:0.3", "--coupling2", "appc:0.3", "--state", "plus:0
         (["trajectory", *PAIR], '{"grid": 5}', "grid: grid spec must be an object or start:end:points"),
         (["bloch-export", "--coupling", "appc:0.3", "--times", "1", "--gamma", "0"], None,
          "gamma: gamma must be positive"),
-        # the grid rule is the library's (pair.lambda_trajectory), reported under the flag
+        # the grid rule is the library's (pair.check_grid), reported under the flag
         (["trajectory", *PAIR, "--grid", "0.5:1:3"], None, "grid: grid must start at t = 0"),
         (["sde-check", *PAIR, "--grid", "0:0:3"], None, "grid: grid must be strictly increasing"),
     ],

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from qsde.pair import (
     initial_state,
     lambda_at,
     lambda_trajectory,
+    pt_min,
 )
 from qsde.errors import InvalidInput
 from qsde.linalg import IDENTITY_2, dot_sigma
@@ -18,6 +20,7 @@ from qsde.linalg import IDENTITY_2, dot_sigma
 from helpers import (
     pure_concurrence,
     random_coupling,
+    random_hs_state,
     random_pure_pair,
     random_unitary2,
 )
@@ -156,6 +159,31 @@ def test_initial_state_rejects_bad_weight():
         initial_state("plus", 1.2)
     with pytest.raises(InvalidInput):
         initial_state("psi", 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Partial-transpose minimum
+
+
+def _pt_min_50_digits(rho) -> float:
+    # partial transpose on qubit 2 by indices: <i j| PT |k l> = <i l| rho |k j>
+    pt = mpmath.matrix(4, 4)
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        pt[2 * i + j, 2 * k + l] = mpmath.mpc(complex(rho[2 * i + l, 2 * k + j]))
+    with mpmath.workdps(50):
+        return float(min(mpmath.eighe(pt, eigvals_only=True)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pt_min_matches_a_50_digit_eigensolver(seed):
+    rho = random_hs_state(np.random.default_rng(1600 + seed), rank=1 + seed % 4)
+    assert abs(pt_min(rho) - _pt_min_50_digits(rho)) <= 4.0 * np.finfo(float).eps
+
+
+def test_pt_min_of_named_states():
+    assert abs(pt_min(BELL_PHI_PLUS) + 0.5) <= 1e-15
+    assert pt_min(np.eye(4, dtype=complex) / 4.0) == 0.25
+    assert pt_min(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)) == 0.0
 
 
 # ---------------------------------------------------------------------------

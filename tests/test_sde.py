@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qsde.channel import Coupling, evolve, family_appc
-from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory
+from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify, evolve, family_appc
+from qsde.pair import concurrence, initial_state, lambda_at, pt_min, state_at
 from qsde.sde import (
-    GAP_TOL,
     TAU_TOL,
     detect_tau,
     predict_dissipative,
@@ -15,14 +15,17 @@ from qsde.sde import (
     sde_check,
 )
 from qsde.errors import GridTooCoarse, InvalidInput, NotEntangled
-from qsde.linalg import dot_sigma
+from qsde.linalg import RELATIVE_SPECTRAL_ZERO, dot_sigma
 
 from helpers import (
     axis_frame,
+    mu_scan,
     oracle_rk4,
     random_bloch,
     random_coupling,
     random_dissipative_coupling,
+    random_flip_coupling,
+    random_hs_state,
     random_pure_pair,
     random_unit,
 )
@@ -94,8 +97,7 @@ def test_flip_criterion_mismatched_axes_from_rotated_diagonal():
     verdict = predict_flip(rho, X, Z)
     assert verdict.predicted == "yes"
     assert abs(verdict.lambda_inf + 0.5) <= 1e-15
-    traj = lambda_trajectory(rho, flip_coupling(X), flip_coupling(Z), np.linspace(0, 10, 201))
-    tau = detect_tau(traj, lambda t: lambda_at(rho, flip_coupling(X), flip_coupling(Z), t))
+    tau = detect_tau(*mu_scan(rho, flip_coupling(X), flip_coupling(Z), np.linspace(0, 10, 201)))
     assert tau is not None
     assert abs(lambda_at(rho, flip_coupling(X), flip_coupling(Z), tau)) <= 1e-6
 
@@ -141,12 +143,7 @@ def test_flip_criterion_matches_numerics(seed):
         rho = big @ canonical @ big.conj().T
     verdict = predict_flip(rho, a1, a2)
     c1, c2 = flip_coupling(a1), flip_coupling(a2)
-    traj = lambda_trajectory(rho, c1, c2, np.linspace(0.0, 12.0, 241))
-    tau = detect_tau(
-        traj,
-        lambda t: lambda_at(rho, c1, c2, t),
-        lambda_inf=verdict.lambda_inf,
-    )
+    tau = detect_tau(*mu_scan(rho, c1, c2, np.linspace(0.0, 12.0, 241)), lambda_inf=verdict.lambda_inf)
     assert verdict.predicted == ("yes" if seed % 2 == 0 else "no")
     assert (tau is not None) == (verdict.predicted == "yes")
     assert abs(verdict.lambda_inf - lambda_at(rho, c1, c2, 20.0)) <= 1e-6
@@ -189,12 +186,7 @@ def test_dissipative_criterion_sufficiency(seed):
     verdict = predict_dissipative(c1, c2)
     assert verdict.predicted == "yes"
     rho, _ = random_pure_pair(rng, min_concurrence=0.15)
-    traj = lambda_trajectory(rho, c1, c2, np.linspace(0.0, 10.0, 201))
-    tau = detect_tau(
-        traj,
-        lambda t: lambda_at(rho, c1, c2, t),
-        lambda_inf=verdict.lambda_inf,
-    )
+    tau = detect_tau(*mu_scan(rho, c1, c2, np.linspace(0.0, 10.0, 201)), lambda_inf=verdict.lambda_inf)
     assert tau is not None
     assert abs(lambda_at(rho, c1, c2, tau)) <= 1e-6
 
@@ -206,8 +198,7 @@ def test_dissipative_criterion_sufficiency(seed):
 def test_detect_tau_none_for_double_dephasing_bell():
     rho = initial_state("plus", 0.5)
     c = flip_coupling(Z)
-    traj = lambda_trajectory(rho, c, c, np.linspace(0.0, 10.0, 101))
-    assert detect_tau(traj, lambda t: lambda_at(rho, c, c, t), lambda_inf=0.0) is None
+    assert detect_tau(*mu_scan(rho, c, c, np.linspace(0.0, 10.0, 101)), lambda_inf=0.0) is None
 
 
 def test_detect_tau_amplitude_damping_matches_closed_form():
@@ -215,8 +206,7 @@ def test_detect_tau_amplitude_damping_matches_closed_form():
     # at t = ln(2) / 4
     rho = initial_state("plus", 0.8)
     c = family_appc(-math.pi / 4)
-    traj = lambda_trajectory(rho, c, c, np.linspace(0.0, 10.0, 401))
-    tau = detect_tau(traj, lambda t: lambda_at(rho, c, c, t), lambda_inf=0.0)
+    tau = detect_tau(*mu_scan(rho, c, c, np.linspace(0.0, 10.0, 401)), lambda_inf=0.0)
     assert tau is not None
     assert abs(tau - LN2_OVER_4) <= 1e-6
     assert abs(lambda_at(rho, c, c, tau)) <= 1e-6
@@ -225,46 +215,97 @@ def test_detect_tau_amplitude_damping_matches_closed_form():
 def test_detect_tau_none_below_threshold_weight():
     rho = initial_state("plus", 0.2)
     c = family_appc(-math.pi / 4)
-    traj = lambda_trajectory(rho, c, c, np.linspace(0.0, 10.0, 401))
-    assert detect_tau(traj, lambda t: lambda_at(rho, c, c, t), lambda_inf=0.0) is None
+    assert detect_tau(*mu_scan(rho, c, c, np.linspace(0.0, 10.0, 401)), lambda_inf=0.0) is None
 
 
-def test_detect_tau_grid_gap_raises():
-    traj = [(0.0, 0.8), (5.0, -0.1)]
-    with pytest.raises(GridTooCoarse):
-        detect_tau(traj, lambda t: 0.8 - 0.18 * t)
+def test_detect_tau_bisects_across_a_wide_grid_gap():
+    # one crossing and no revival: a bracket of any width is bisected
+    tau = detect_tau([0.0, 5.0], [-0.8, 0.1], lambda t: 0.18 * t - 0.8)
+    assert abs(tau - (0.8 + RELATIVE_SPECTRAL_ZERO) / 0.18) <= TAU_TOL
 
 
 def test_detect_tau_crossing_beyond_grid_raises():
-    traj = [(0.0, 1.0), (0.5, 0.8), (1.0, 0.6)]
-    with pytest.raises(GridTooCoarse):
-        detect_tau(traj, lambda t: 1.0 - 0.4 * t, lambda_inf=-0.5)
+    with pytest.raises(GridTooCoarse, match="lambda_inf = -5.000e-01 guarantees"):
+        detect_tau([0.0, 0.5, 1.0], [-1.0, -0.8, -0.6], lambda t: 0.4 * t - 1.0, lambda_inf=-0.5)
 
 
 def test_detect_tau_requires_entangled_start():
-    with pytest.raises(NotEntangled, match=r"not entangled on the scan: lam\(0\) = -2\.000e-01$"):
-        detect_tau([(0.0, -0.2), (1.0, -0.4)], lambda t: -0.2)
+    # -1e-14 lies inside the band of +-RELATIVE_SPECTRAL_ZERO, so it is no proof of entanglement
+    for mu0, text in ((0.2, "2.000e-01"), (-1e-14, "-1.000e-14")):
+        with pytest.raises(NotEntangled, match=rf"not entangled on the scan: mu\(0\) = {text}$"):
+            detect_tau([0.0, 1.0], [mu0, 0.4], lambda t: mu0)
 
 
-def test_detect_tau_walks_back_through_the_noise_band():
-    # 5e-10, -5e-10 and 1e-10 all lie inside +-CROSSING_FLOOR, so the bracket
-    # runs from t = 0.1, the last point above the band, to t = 0.5
-    traj = [(0.0, 0.5), (0.1, 0.3), (0.2, 5e-10), (0.3, -5e-10), (0.4, 1e-10), (0.5, -0.2)]
+def test_detect_tau_brackets_the_first_witness_with_the_point_before():
+    # 5e-15 and 1e-14 lie under the floor, so the first witness is t = 0.5 and
+    # the bracket is [0.4, 0.5], however close to zero the points before read
+    times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    mu = [-0.5, -0.3, -5e-15, 5e-15, 1e-14, 0.2]
     calls = []
 
-    def lam(t):
+    def mu_of_t(t):
         calls.append(t)
-        return 0.25 - t
+        return t - 0.45
 
-    assert abs(detect_tau(traj, lam) - 0.25) <= TAU_TOL
-    assert calls[0] == 0.5 * (0.1 + 0.5)
+    assert abs(detect_tau(times, mu, mu_of_t) - 0.45) <= TAU_TOL
+    assert calls[0] == 0.5 * (0.4 + 0.5)
 
 
-def test_detect_tau_noise_band_wider_than_the_gap_tolerance_raises():
-    traj = [(0.0, 0.5), (0.1, 0.3), (0.3, 5e-10), (0.5, -5e-10), (0.7, -0.2)]
-    assert 0.7 - 0.1 > GAP_TOL
-    with pytest.raises(GridTooCoarse, match="gap of 0.6"):
-        detect_tau(traj, lambda t: 0.25 - t)
+# ---------------------------------------------------------------------------
+# The theorem under the scan: one crossing, no revival, no jump at the surfaces
+
+# deterministic draws, a handful per test, so the Tier-1 suite stays fast and repeatable
+FEW_DRAWS = settings(max_examples=4, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("kind", ["flip", "dissipative", "mixed"])
+@FEW_DRAWS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mu_never_revives_after_the_first_witness(kind, seed):
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(0.5, 2.0)
+    rho = random_hs_state(rng)
+    draw1 = random_dissipative_coupling if kind == "dissipative" else random_flip_coupling
+    draw2 = random_flip_coupling if kind == "flip" else random_dissipative_coupling
+    c1, c2 = draw1(rng, gamma), draw2(rng, gamma)
+    _, mu, _ = mu_scan(rho, c1, c2, np.linspace(0.0, 60.0 / gamma, 361))
+    witnesses = np.flatnonzero(np.array(mu) >= RELATIVE_SPECTRAL_ZERO)
+    assert witnesses.size > 0
+    assert min(mu[witnesses[0]:]) >= -RELATIVE_SPECTRAL_ZERO
+
+
+def _coupling_with_w(rng, w_norm: float, gamma: float) -> Coupling:
+    # u = cos(a) e1, v = sin(a) e2 for orthonormal e1, e2: |u x v| = sin(2a) / 2
+    e1 = random_unit(rng)
+    e2 = np.cross(e1, random_unit(rng))
+    a = 0.5 * math.asin(2.0 * w_norm)
+    return Coupling(u=math.cos(a) * e1, v=math.sin(a) * e2 / np.linalg.norm(e2), gamma=gamma)
+
+
+@pytest.mark.parametrize("surface", ["flip", "amplitude-damping"])
+@FEW_DRAWS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tau_is_continuous_across_the_exempt_surfaces(surface, seed):
+    # |w| a thousandth of the tolerance inside and outside the band: the
+    # coupling's class (or the criterion's answer) changes, tau does not
+    if surface == "flip":
+        inside, outside = FLIP_TOL * (1.0 - 1e-3), FLIP_TOL * (1.0 + 1e-3)
+    else:
+        inside, outside = 0.5 - AD_TOL * (1.0 - 1e-3), 0.5 - AD_TOL * (1.0 + 1e-3)
+    taus, sides = [], []
+    for w_norm in (inside, outside):
+        rng = np.random.default_rng(seed)  # the same state and orientations on both sides
+        gamma = rng.uniform(0.5, 2.0)
+        rho = random_hs_state(rng)
+        c1, c2 = _coupling_with_w(rng, w_norm, gamma), _coupling_with_w(rng, w_norm, gamma)
+        times, mu, mu_of_t = mu_scan(rho, c1, c2, np.linspace(0.0, 20.0 / gamma, 101))
+        assume(mu[0] < -RELATIVE_SPECTRAL_ZERO)
+        taus.append(detect_tau(times, mu, mu_of_t))
+        sides.append(isinstance(classify(c1), Flip) if surface == "flip"
+                     else predict_dissipative(c1, c2).predicted)
+    assert sides == ([True, False] if surface == "flip" else ["not-covered", "yes"])
+    assert None not in taus
+    assert abs(taus[0] - taus[1]) <= 3e-7
 
 
 # ---------------------------------------------------------------------------
@@ -342,23 +383,28 @@ def test_sde_check_rejects_a_separable_state_before_scanning(monkeypatch):
     import qsde.sde
 
     def no_scan(*args):
-        raise AssertionError("lambda_trajectory reached")
+        raise AssertionError("pt_min reached")
 
-    monkeypatch.setattr(qsde.sde, "lambda_trajectory", no_scan)
+    monkeypatch.setattr(qsde.sde, "pt_min", no_scan)
     with pytest.raises(NotEntangled):
         sde_check(initial_state("plus", 0.0), family_appc(0.3), family_appc(0.3))
+    # the patched name is the scan's: an entangled state reaches it
+    with pytest.raises(AssertionError, match="pt_min reached"):
+        sde_check(initial_state("plus", 0.5), family_appc(0.3), family_appc(0.3))
 
 
 def test_sde_check_rejects_a_boundary_state_whose_scan_starts_at_lam_le_zero():
     # a Werner-type state at the separable boundary: its concurrence reads
-    # +1.4e-16, but the scan's lam at t = 0, through the Kraus route, -2.8e-17
+    # +1.4e-16, but lam at t = 0, through the Kraus route, -2.8e-17, and the
+    # scan's mu(0) +2.8e-17, not below -RELATIVE_SPECTRAL_ZERO
     a, p = 0.7774538558746287, 0.37540020103303556
     psi = np.array([math.sqrt(a), 0.0, 0.0, math.sqrt(1.0 - a)])
     rho = p * np.outer(psi, psi) + (1.0 - p) / 4.0 * np.eye(4)
     c1, c2 = family_appc(0.3), family_appc(0.7)
     assert concurrence(rho).lam > 0.0
     assert lambda_at(rho.astype(complex), c1, c2, 0.0) <= 0.0
-    with pytest.raises(NotEntangled, match=r"lam\(0\) = -2\.776e-17"):
+    assert pt_min(state_at(rho.astype(complex), c1, c2, 0.0)) >= -RELATIVE_SPECTRAL_ZERO
+    with pytest.raises(NotEntangled, match=r"mu\(0\) = 2\.776e-17"):
         sde_check(rho, c1, c2)
 
 
