@@ -34,7 +34,10 @@ min(|u^ - v^|, |u^ + v^|) <= sqrt(2) sin(angle) and |cos(pi a) - cos(pi b)|
 1/2 than the closest approach decided so far only if 1/2 - R s <=
 max(closest, AD_TOL). Only those rows are charted in float64 and counted:
 all of the small first chunk, which gives the sieve its running closest
-approach, then fewer as it shrinks: under 3 in 1000 rows over n = 2e6. Every
+approach, then fewer as it shrinks: under 3 in 1000 rows over n = 2e6. The
+kept rows of several chunks are charted together, once _FIRST_ROWS of them
+have gathered; meanwhile the sieve runs on the last batch's closest, which
+can only be larger and so keeps a superset of the rows that matter. Every
 float64 step works row by row, so a kept row gets the bits it would get in a
 pass over all draws: the report is the one-pass float64 one, bit for bit.
 """
@@ -59,7 +62,9 @@ CHUNK_ROWS = 16384
 # Rows of the first chunk. The sieve keeps every row until some closest
 # approach is known, so a small first chunk gives it one for the cost of
 # charting 256 rows, not a whole chunk: with a first chunk of CHUNK_ROWS,
-# an n = 1e4 call took 5.6 ms instead of 1.4 ms.
+# an n = 1e4 call took 5.6 ms instead of 1.4 ms. Later kept rows are charted
+# once this many have gathered, so the fixed cost of charting (about 40 numpy
+# calls) is paid every few chunks, not every chunk.
 _FIRST_ROWS = 256
 # Absolute margin on both sieve bounds, far above their float64 rounding and
 # that of the chart and kernel (a few 1e-16; a and a - b are exact on
@@ -169,8 +174,9 @@ def run_census(n: int, seed: int = 0) -> CensusReport:
 
     The draws come from one Philox stream seeded with ``seed``, five per
     sample, so a run of n samples is a prefix of any longer run. They are
-    drawn, sieved and counted CHUNK_ROWS samples at a time; the report is
-    the one a single float64 pass over all n samples gives, bit for bit.
+    drawn into one reused buffer and sieved CHUNK_ROWS samples at a time,
+    and the kept samples are counted in batches; the report is the one a
+    single float64 pass over all n samples gives, bit for bit.
     """
     n = _integer(n, "n")
     seed = _integer(seed, "seed")
@@ -181,16 +187,24 @@ def run_census(n: int, seed: int = 0) -> CensusReport:
     if seed < 0:
         raise InvalidInput("seed", f"seed must be >= 0, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
+    buffer = np.empty((min(n, CHUNK_ROWS), _DRAWS_PER_SAMPLE))
     n_flip = n_ad = 0
     min_ad = math.inf
+    kept, held = [], 0
     done, rows = 0, _FIRST_ROWS
     while done < n:
-        draws = rng.random((min(rows, n - done), _DRAWS_PER_SAMPLE))
-        flip, ad, closest = count_hits(cross_norm(*_chart(draws[_sieve(draws, min_ad)])))
-        n_flip += flip
-        n_ad += ad
-        min_ad = min(min_ad, closest)
+        draws = rng.random(out=buffer[: min(rows, n - done)])
+        kept.append(draws[_sieve(draws, min_ad)])
+        held += len(kept[-1])
         done, rows = done + len(draws), CHUNK_ROWS
+        # decide the kept rows of several chunks at once; until then the sieve
+        # runs on a stale, larger min_ad, which only keeps more rows
+        if held >= _FIRST_ROWS or done == n:
+            flip, ad, closest = count_hits(cross_norm(*_chart(np.concatenate(kept))))
+            n_flip += flip
+            n_ad += ad
+            min_ad = min(min_ad, closest)
+            kept, held = [], 0
     return CensusReport(
         n_samples=n,
         n_flip_hits=n_flip,

@@ -135,19 +135,28 @@ def classify(coupling: Coupling) -> Flip | Dissipative:
 
 
 def bloch_to_rho(r) -> np.ndarray:
-    """Density matrix (1 + r . sigma) / 2 of a Bloch vector."""
-    return 0.5 * (IDENTITY_2 + dot_sigma(r))
+    """Density matrix (1 + r . sigma) / 2 of a Bloch vector, or one per row of an (n, 3) stack."""
+    r = np.asarray(r, dtype=float)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    sigma = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
+    iy = 1j * y
+    sigma[..., 0, 0] = z
+    sigma[..., 0, 1] = x - iy
+    sigma[..., 1, 0] = x + iy
+    sigma[..., 1, 1] = -z
+    # adding the identity also turns every -0.0 into +0.0, as it does to dot_sigma(r)
+    return 0.5 * (IDENTITY_2 + sigma)
 
 
 def evolve_flip(r0, u_hat, gamma: float, t: float) -> np.ndarray:
-    """Propagate a Bloch vector under a flip coupling.
+    """Propagate a Bloch vector, or each row of an (n, 3) stack, under a flip coupling.
 
     r(t) = exp(-4 gamma t) r0 + (1 - exp(-4 gamma t)) (r0 . u_hat) u_hat:
     the u_hat component is conserved, the rest decays at rate 4 gamma.
     """
     r0 = np.asarray(r0, dtype=float)
     u_hat = np.asarray(u_hat, dtype=float)
-    parallel = float(r0 @ u_hat) * u_hat
+    parallel = (r0 @ u_hat)[..., None] * u_hat
     return parallel + math.exp(-4.0 * gamma * t) * (r0 - parallel)
 
 
@@ -164,21 +173,22 @@ def kraus_flip(u_hat, gamma: float, t: float) -> list[np.ndarray]:
 
 
 def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarray:
-    """Propagate a Bloch vector under a dissipative coupling.
+    """Propagate a Bloch vector, or each row of an (n, 3) stack, under a dissipative coupling.
 
     Decomposes r(t) = f(t) u + g(t) v + h(t) w. The w component relaxes as
     h(t) = 2 - (2 - r0.w / |w|^2) e^{-4 gamma t}; the (f, g) pair obeys
     [f, g]' = -2 gamma [f, g] + 4 gamma [(u.v) sx + chi sz] [f, g], so it is
     mixed by cosh(4 gamma q t) 1 + sinh(4 gamma q t) [(u.v) sx + chi sz]/q
     times e^{-2 gamma t}, evaluated here in an overflow-free form. The q -> 0
-    limit (standard amplitude damping) is taken analytically.
+    limit (standard amplitude damping) is taken analytically. The time's
+    exponentials are taken once, however many rows r0 has.
     """
     r0 = np.asarray(r0, dtype=float)
     u, v, w = dis.u, dis.v, dis.w
     wn2 = float(w @ w)
-    f0 = float(dis.v_cross_w @ r0) / wn2
-    g0 = float(dis.w_cross_u @ r0) / wn2
-    h = 2.0 - (2.0 - float(r0 @ w) / wn2) * math.exp(-4.0 * gamma * t)
+    f0 = (r0 @ dis.v_cross_w) / wn2
+    g0 = (r0 @ dis.w_cross_u) / wn2
+    h = 2.0 - (2.0 - (r0 @ w) / wn2) * math.exp(-4.0 * gamma * t)
 
     q, chi, uv = dis.q, dis.chi, float(u @ v)
     # e^{-2 g t} cosh(4 g q t) and e^{-2 g t} sinh(4 g q t)/q written via
@@ -196,11 +206,15 @@ def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarr
     c = ep + q * s
     f = (c + chi * s) * f0 + uv * s * g0
     g = uv * s * f0 + (c - chi * s) * g0
-    return f * u + g * v + h * w
+    return f[..., None] * u + g[..., None] * v + h[..., None] * w
 
 
 def evolve(r0, coupling: Coupling, t: float) -> np.ndarray:
-    """Propagate a Bloch vector, dispatching on the coupling class."""
+    """Propagate a Bloch vector, or each row of an (n, 3) stack, dispatching on the coupling class.
+
+    A stack goes through the same closed form as a single vector, row by
+    row, with the time's exponentials taken once.
+    """
     cls = classify(coupling)
     if isinstance(cls, Flip):
         return evolve_flip(r0, cls.u_hat, coupling.gamma, t)

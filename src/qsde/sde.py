@@ -29,8 +29,9 @@ import numpy as np
 from .channel import AD_TOL, Coupling, Dissipative, Flip, bloch_to_rho, classify
 from .errors import GridTooCoarse, NotEntangled
 from .linalg import RELATIVE_SPECTRAL_ZERO
-from .pair import check_grid, check_state, concurrence, default_grid, lambda_at, pt_min, state_at
-from .pair import lambda_trajectory  # noqa: F401  (perfbench/tracing.py wraps it under this name)
+from .pair import check_grid, check_state, default_grid, lambda_at, pt_min, state_at
+# perfbench/tracing.py wraps these two under the names sde imports them by
+from .pair import concurrence, lambda_trajectory  # noqa: F401
 
 # A flip-axis weight at or below this counts as zero. Each weight is a trace of
 # products with no square root, so its rounding error is about eps * |rho0| ~
@@ -139,13 +140,15 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     case mu(t) is scanned on the grid and tau is filled when a crossing
     lies on it (the dissipative "not-covered" verdict can still come with a
     finite tau). rho0 is checked here, once, by pair.check_state, and the
-    grid by pair.check_grid; their errors propagate. A separable rho0, or
-    one whose scan does not start at mu(0) < -RELATIVE_SPECTRAL_ZERO
-    (detect_tau), raises NotEntangled.
+    grid by pair.check_grid; their errors propagate. A rho0 without
+    mu(0) = pt_min(rho0) < -RELATIVE_SPECTRAL_ZERO, the scan's own test
+    (detect_tau), raises NotEntangled before any scan.
     """
     rho0 = check_state(rho0)
-    if concurrence(rho0).concurrence <= 0.0:
-        raise NotEntangled("initial state has zero concurrence")
+    mu0 = pt_min(rho0)
+    if not mu0 < -RELATIVE_SPECTRAL_ZERO:
+        # a two-qubit state has C = 0 exactly when its partial transpose is PSD
+        raise NotEntangled(f"initial state has zero concurrence: mu(0) = {mu0:.3e}")
     cls1, cls2 = classify(c1), classify(c2)
     gamma_min = min(c1.gamma, c2.gamma)
     if grid is None:

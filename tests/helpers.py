@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from qsde.census import CensusReport, _chart, count_hits
-from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho
-from qsde.linalg import dot_sigma
+from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho, evolve, family_appc
+from qsde.linalg import IDENTITY_2, dot_sigma
 from qsde.pair import check_grid, pt_min, state_at
 
 
@@ -30,6 +30,54 @@ def mu_scan(rho0, c1: Coupling, c2: Coupling, grid) -> tuple:
 
     times = check_grid(grid)
     return times, [mu_of_t(t) for t in times], mu_of_t
+
+
+def choi_six_evolves(coupling: Coupling, t: float) -> np.ndarray:
+    """Reference Choi matrix: one evolve and one (1 + r . sigma) / 2 per axial state, then np.block."""
+    def image(r0):
+        return 0.5 * (IDENTITY_2 + dot_sigma(evolve(np.asarray(r0, float), coupling, t)))
+
+    c00 = image((0.0, 0.0, 1.0))
+    c11 = image((0.0, 0.0, -1.0))
+    cpx = image((1.0, 0.0, 0.0))
+    cmx = image((-1.0, 0.0, 0.0))
+    cpy = image((0.0, 1.0, 0.0))
+    cmy = image((0.0, -1.0, 0.0))
+    c01 = 0.5 * (cpx - cmx + 1j * cpy - 1j * cmy)
+    c10 = 0.5 * (cpx - cmx - 1j * cpy + 1j * cmy)
+    return np.block([[c00, c01], [c10, c11]])
+
+
+def assert_same_bits(a, b) -> None:
+    """np.array_equal, and the same bytes, so that the signs of zeros agree too."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+# u = s x, v = s y: q == 0.0 exactly, evolve_dissipative's branch without expm1
+AMPLITUDE_DAMPING = Coupling(u=(0.7071067811865476, 0.0, 0.0), v=(0.0, 0.7071067811865476, 0.0))
+
+
+def branch_cases() -> list[tuple[str, Coupling, Coupling, float]]:
+    """(name, c1, c2, t): both regimes, and each branch of evolve_dissipative, for bit-identity tests.
+
+    The "late" case has 8 gamma q t > 700, where expm1 would overflow; in
+    "same" c2 is c1, so state_at builds one Kraus set for both qubits.
+    """
+    rng = np.random.default_rng(1919)
+    flip, dis = random_flip_coupling(rng, 1.3), random_dissipative_coupling(rng, 0.7)
+    appc = family_appc(0.4, gamma=1.8)
+    return [
+        ("flip", flip, random_flip_coupling(rng), 0.37),
+        ("dissipative", dis, appc, 0.37),
+        ("mixed", flip, dis, 1.1),
+        ("q-zero", AMPLITUDE_DAMPING, dis, 0.8),
+        ("late", appc, dis, 300.0),
+        ("t-zero", dis, flip, 0.0),
+        ("same", appc, appc, 0.52),
+    ]
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:

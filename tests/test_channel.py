@@ -17,10 +17,14 @@ from qsde.channel import (
     family_appc,
     kraus_flip,
 )
+from qsde.choi import _AXIAL_STATES
 from qsde.errors import InvalidInput
+from qsde.linalg import IDENTITY_2, dot_sigma
 
 from helpers import (
     apply_channel,
+    assert_same_bits,
+    branch_cases,
     master_rhs,
     oracle_rk4,
     oracle_rk4_batch,
@@ -302,3 +306,34 @@ def test_family_appc_magnitudes():
     w_mag = float(np.linalg.norm(np.cross(c.u, c.v)))
     assert abs(w_mag - 0.47552825814757677) <= 1e-15  # sin(2 pi / 5) / 2
     assert abs(w_mag - 0.5) > 1e-3  # clearly away from amplitude damping
+
+
+# ---------------------------------------------------------------------------
+# Stacked Bloch vectors
+
+
+def test_branch_cases_reach_every_branch():
+    cases = {name: (c1, c2, t) for name, c1, c2, t in branch_cases()}
+    assert isinstance(classify(cases["flip"][0]), Flip) and isinstance(classify(cases["flip"][1]), Flip)
+    assert isinstance(classify(cases["dissipative"][0]), Dissipative)
+    assert classify(cases["q-zero"][0]).q == 0.0
+    c, _, t = cases["late"]
+    assert 8.0 * c.gamma * classify(c).q * t > 700.0
+    assert cases["t-zero"][2] == 0.0
+    assert cases["same"][1] is cases["same"][0]
+
+
+@pytest.mark.parametrize("name, c1, c2, t", branch_cases(), ids=[case[0] for case in branch_cases()])
+def test_evolve_of_a_stack_is_row_by_row_on_the_axial_states(name, c1, c2, t):
+    for c in (c1, c2):
+        assert_same_bits(evolve(_AXIAL_STATES, c, t), np.array([evolve(r, c, t) for r in _AXIAL_STATES]))
+
+
+def test_bloch_to_rho_of_a_stack_is_the_dot_sigma_form_row_by_row():
+    rng = np.random.default_rng(1900)
+    signed_zeros = [(-0.0, 0.0, -1.0), (0.0, -0.0, 1.0), (-0.0, -0.0, -0.0), (0.5, -0.0, 0.0)]
+    r = np.vstack([[random_bloch(rng) for _ in range(20)], _AXIAL_STATES, signed_zeros])
+    expected = np.array([0.5 * (IDENTITY_2 + dot_sigma(row)) for row in r])
+    assert_same_bits(bloch_to_rho(r), expected)
+    for row, rho in zip(r, expected):
+        assert_same_bits(bloch_to_rho(row), rho)

@@ -15,6 +15,9 @@ from qsde.linalg import IDENTITY_2, herm_eig, psd_spectrum
 
 from helpers import (
     apply_channel,
+    assert_same_bits,
+    branch_cases,
+    choi_six_evolves,
     partial_trace_second,
     random_coupling,
     random_density2,
@@ -182,3 +185,11 @@ def test_kraus_of_choi_keeps_exactly_the_unsnapped_columns(seed):
             spectrum = psd_spectrum(herm_eig(choi)[0])
             assert len(kraus) == np.count_nonzero(spectrum > 0.0)
             assert min(float(np.max(np.abs(k))) for k in kraus) >= math.sqrt(32.0 * np.finfo(float).eps) / 2.0
+
+
+@pytest.mark.parametrize("name, c1, c2, t", branch_cases(), ids=[case[0] for case in branch_cases()])
+def test_choi_of_channel_is_the_six_evolve_assembly_bit_for_bit(name, c1, c2, t):
+    # one evolve of the six axial states, written into the blocks, against six
+    # evolve calls, six (1 + r . sigma) / 2 and np.block
+    for c in (c1, c2):
+        assert_same_bits(choi_of_channel(c, t), choi_six_evolves(c, t))

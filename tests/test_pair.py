@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from qsde.channel import family_appc, kraus_flip
+from qsde.channel import Dissipative, classify, family_appc, kraus_flip
+from qsde.choi import kraus_of_choi
 from qsde.pair import (
     concurrence,
     default_grid,
@@ -13,11 +14,15 @@ from qsde.pair import (
     lambda_at,
     lambda_trajectory,
     pt_min,
+    state_at,
 )
 from qsde.errors import InvalidInput
 from qsde.linalg import IDENTITY_2, dot_sigma
 
 from helpers import (
+    assert_same_bits,
+    branch_cases,
+    choi_six_evolves,
     pure_concurrence,
     random_coupling,
     random_hs_state,
@@ -258,3 +263,20 @@ def test_default_grid_shape():
     assert grid[0] == 0.0
     assert abs(grid[-1] - 10.0) <= 1e-12
     assert abs(default_grid(gamma=2.0)[-1] - 5.0) <= 1e-12
+
+
+def _reference_kraus(c, t):
+    # the Kraus set from the reference Choi assembly, or the flip pair
+    cls = classify(c)
+    if isinstance(cls, Dissipative):
+        return kraus_of_choi(choi_six_evolves(c, t))[0]
+    return kraus_flip(cls.u_hat, c.gamma, t)
+
+
+@pytest.mark.parametrize("name, c1, c2, t", branch_cases(), ids=[case[0] for case in branch_cases()])
+def test_state_at_is_the_six_evolve_pipeline_bit_for_bit(name, c1, c2, t):
+    # the pair state from the stacked Choi assembly, against the same
+    # evolution of the Kraus sets of the reference assembly
+    rho0 = random_hs_state(np.random.default_rng(2600))
+    expected = evolve_pair(rho0, _reference_kraus(c1, t), _reference_kraus(c2, t))
+    assert_same_bits(state_at(rho0, c1, c2, t), expected)

@@ -383,20 +383,35 @@ def test_sde_check_rejects_a_separable_state_before_scanning(monkeypatch):
     import qsde.sde
 
     def no_scan(*args):
-        raise AssertionError("pt_min reached")
+        raise AssertionError("state_at reached")
 
-    monkeypatch.setattr(qsde.sde, "pt_min", no_scan)
-    with pytest.raises(NotEntangled):
+    monkeypatch.setattr(qsde.sde, "state_at", no_scan)
+    with pytest.raises(NotEntangled, match=r"^initial state has zero concurrence: mu\(0\) = 0\.000e\+00$"):
         sde_check(initial_state("plus", 0.0), family_appc(0.3), family_appc(0.3))
     # the patched name is the scan's: an entangled state reaches it
-    with pytest.raises(AssertionError, match="pt_min reached"):
+    with pytest.raises(AssertionError, match="state_at reached"):
         sde_check(initial_state("plus", 0.5), family_appc(0.3), family_appc(0.3))
+
+
+def test_sde_check_takes_a_state_entangled_below_the_concurrence_resolution():
+    # a Werner state with C = (3 p - 1) / 2 = 1e-9, far below lam's ~1.2e-7
+    # resolution, but mu(0) = -C / 2, far below -RELATIVE_SPECTRAL_ZERO
+    p = (1.0 + 2e-9) / 3.0
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    rho = p * np.outer(psi, psi) + (1.0 - p) / 4.0 * np.eye(4)
+    assert abs(pt_min(rho.astype(complex)) + 5e-10) <= 1e-15
+    c = family_appc(-math.pi / 4)  # amplitude damping: 0 = lam(inf), not-covered
+    verdict = sde_check(rho, c, c)
+    assert verdict.method == "dissipative-criterion"
+    assert verdict.predicted == "not-covered"
+    # entangled at t = 0 and separable as soon as the damping shrinks the coherence
+    assert verdict.tau is not None and 0.0 < verdict.tau < 1e-6
 
 
 def test_sde_check_rejects_a_boundary_state_whose_scan_starts_at_lam_le_zero():
     # a Werner-type state at the separable boundary: its concurrence reads
-    # +1.4e-16, but lam at t = 0, through the Kraus route, -2.8e-17, and the
-    # scan's mu(0) +2.8e-17, not below -RELATIVE_SPECTRAL_ZERO
+    # +1.4e-16, but lam at t = 0, through the Kraus route, -2.8e-17, and both
+    # pt_min(rho0) and the scan's mu(0) +2.8e-17, not below -RELATIVE_SPECTRAL_ZERO
     a, p = 0.7774538558746287, 0.37540020103303556
     psi = np.array([math.sqrt(a), 0.0, 0.0, math.sqrt(1.0 - a)])
     rho = p * np.outer(psi, psi) + (1.0 - p) / 4.0 * np.eye(4)
