@@ -213,7 +213,9 @@ def evolve(r0, coupling: Coupling, t: float) -> np.ndarray:
     """Propagate a Bloch vector, or each row of an (n, 3) stack, dispatching on the coupling class.
 
     A stack goes through the same closed form as a single vector, row by
-    row, with the time's exponentials taken once.
+    row, with the time's exponentials taken once. Its dot products run as
+    one matrix-vector product, so a general row can differ from a separate
+    call in the last bit; a row that is +-e_k, whose dots are exact, cannot.
     """
     cls = classify(coupling)
     if isinstance(cls, Flip):

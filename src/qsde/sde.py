@@ -140,9 +140,10 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     case mu(t) is scanned on the grid and tau is filled when a crossing
     lies on it (the dissipative "not-covered" verdict can still come with a
     finite tau). rho0 is checked here, once, by pair.check_state, and the
-    grid by pair.check_grid; their errors propagate. A rho0 without
-    mu(0) = pt_min(rho0) < -RELATIVE_SPECTRAL_ZERO, the scan's own test
-    (detect_tau), raises NotEntangled before any scan.
+    grid by pair.check_grid; their errors propagate. A rho0 whose
+    mu(0) = pt_min(rho0) is not below -RELATIVE_SPECTRAL_ZERO raises
+    NotEntangled before any scan; detect_tau applies the same test to the
+    scan's first point.
     """
     rho0 = check_state(rho0)
     mu0 = pt_min(rho0)
