@@ -1,22 +1,27 @@
 """Sudden-death-of-entanglement predicates and crossing detection.
 
-Two closed-form criteria cover the pure regimes:
+Two closed-form routes cover every pair:
 
 * flip couplings on both qubits -- sudden death occurs if and only if the
   initial state puts positive weight d[s1 s2] = tr[rho0 P_s1(a1) (x) P_s2(a2)]
   on all four products of the flip-axis eigenstates, where
   P_s(a) = (1 + s a . sigma) / 2. The long-time limit of lam is
   -2 sqrt(min(d++ d--, d+- d-+)).
-* dissipative couplings on both qubits -- |u x v| != 1/2 on both qubits is
-  sufficient for sudden death from any entangled initial state, with
-  lam_inf = -1/2 sqrt((1 - |2 w1|^2)(1 - |2 w2|^2)). When some |w| = 1/2
-  (standard amplitude damping) the criterion is silent: sudden death may
-  or may not occur.
+* a dissipative coupling on at least one qubit -- the pair tends to a
+  product state: a dissipative qubit to the Bloch vector 2 w whatever its
+  input, a flip qubit to its marginal's component along u_hat. A product
+  state with limit Bloch vectors a1, a2 has
+  lam_inf = -1/2 sqrt((1 - |a1|^2)(1 - |a2|^2)). With both qubits
+  dissipative, |u x v| != 1/2 on both is sufficient for sudden death from
+  any entangled initial state; when some |w| = 1/2 (standard amplitude
+  damping) the criterion is silent: sudden death may or may not occur.
+  A mixed flip/dissipative pair takes its verdict from the scan.
 
-Mixed flip/dissipative pairs are handled numerically. Every route scans
-for the death time tau on the sign of mu(t) = pair.pt_min, negative exactly
-while the pair is entangled; local channels keep separable states
-separable, so entanglement holds on one interval [0, tau) and never revives.
+Every route scans for the death time tau on the sign of mu(t) = pair.pt_min
+and bisects the crossing on the sign of the partial transpose's determinant,
+both negative exactly while the pair is entangled; local channels keep
+separable states separable, so entanglement holds on one interval [0, tau)
+and never revives.
 """
 
 from __future__ import annotations
@@ -26,12 +31,12 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .channel import AD_TOL, Coupling, Dissipative, Flip, bloch_to_rho, classify
+from .channel import AD_TOL, Coupling, Flip, bloch_to_rho, classify
 from .errors import GridTooCoarse, NotEntangled
-from .linalg import RELATIVE_SPECTRAL_ZERO
-from .pair import check_grid, check_state, default_grid, lambda_at, pt_min, state_at
-# perfbench/tracing.py wraps these two under the names sde imports them by
-from .pair import concurrence, lambda_trajectory  # noqa: F401
+from .linalg import IDENTITY_2, RELATIVE_SPECTRAL_ZERO, dot_sigma
+from .pair import check_grid, check_state, default_grid, pt_min, state_at
+# perfbench/tracing.py wraps these three under the names sde imports them by
+from .pair import concurrence, lambda_at, lambda_trajectory  # noqa: F401
 
 # A flip-axis weight at or below this counts as zero. Each weight is a trace of
 # products with no square root, so its rounding error is about eps * |rho0| ~
@@ -82,33 +87,59 @@ def predict_flip(rho0, u_hat1, u_hat2) -> SdeVerdict:
     return SdeVerdict(predicted, lam_inf, None, METHOD_FLIP)
 
 
-def predict_dissipative(c1: Coupling, c2: Coupling) -> SdeVerdict:
-    """Sufficient sudden-death verdict for two couplings that are both dissipative.
+def predict_dissipative(rho0, c1: Coupling, c2: Coupling) -> SdeVerdict:
+    """Sudden-death verdict and long-time limit for a pair with a dissipative coupling.
 
-    Yes whenever both |u x v| differ from 1/2 by more than AD_TOL; this
-    holds for every entangled initial state. If either qubit sits on the
-    amplitude-damping surface |w| = 1/2 the criterion does not decide and
-    the verdict is "not-covered".
+    The pair tends to a product state, so lambda_inf = -1/2 sqrt((1 - |a1|^2)
+    (1 - |a2|^2)) over the limit Bloch vectors: |a| = 2 |w| on a dissipative
+    qubit, and on a flip qubit its marginal's component along u_hat. Yes when
+    every dissipative |u x v| differs from 1/2 by more than AD_TOL, for any
+    entangled rho0; else "not-covered". Two dissipative couplings give
+    METHOD_DISSIPATIVE, a mixed pair METHOD_NUMERICAL (sde_check then takes
+    the verdict from the scan).
     """
-    magnitudes = [float(np.linalg.norm(classify(c).w)) for c in (c1, c2)]
-    covered = all(abs(m - 0.5) > AD_TOL for m in magnitudes)
-    product = 1.0
-    for m in magnitudes:
-        product *= max(0.0, 1.0 - 4.0 * m * m)
+    product, covered, mixed = 1.0, True, False
+    for side, c in enumerate((c1, c2)):
+        cls = classify(c)
+        if isinstance(cls, Flip):
+            axis = dot_sigma(cls.u_hat)
+            observable = np.kron(axis, IDENTITY_2) if side == 0 else np.kron(IDENTITY_2, axis)
+            a = float(np.trace(rho0 @ observable).real)
+            product *= max(0.0, 1.0 - a * a)
+            mixed = True
+        else:
+            m = float(np.linalg.norm(cls.w))
+            covered = covered and abs(m - 0.5) > AD_TOL
+            product *= max(0.0, 1.0 - 4.0 * m * m)
     lam_inf = -0.5 * math.sqrt(product) + 0.0
-    return SdeVerdict("yes" if covered else "not-covered", lam_inf, None, METHOD_DISSIPATIVE)
+    method = METHOD_NUMERICAL if mixed else METHOD_DISSIPATIVE
+    return SdeVerdict("yes" if covered else "not-covered", lam_inf, None, method)
 
 
-def detect_tau(times, mu, mu_of_t, lambda_inf: float | None = None) -> float | None:
-    """The death time tau from mu = mu_of_t(times) on a grid that passes pair.check_grid.
+def _pt_det(rho) -> float:
+    """Determinant of pair.pt_min's matrix, the qubit-2 partial transpose of rho.
+
+    An entangled two-qubit state's partial transpose has full rank and one
+    negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so
+    this is negative exactly while rho is entangled (Augusiak, Demianowicz &
+    Horodecki, PRA 77, 030301(R) (2008)). On the graded spectrum near a
+    crossing LU keeps this sign where eigvalsh's ~eps error hides pt_min's.
+    """
+    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return float(np.linalg.det(pt).real)
+
+
+def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | None:
+    """The death time tau from mu = pair.pt_min at times, a grid that passes pair.check_grid.
 
     With floor = RELATIVE_SPECTRAL_ZERO, the scan must start entangled,
     mu[0] < -floor, or NotEntangled is raised. The first grid point with
     mu >= floor witnesses separability; as entanglement never revives, tau
-    lies between it and the grid point before, and bisection on
-    mu_of_t(mid) >= floor narrows that bracket to TAU_TOL. With no witness,
-    returns None, or raises GridTooCoarse if lambda_inf (when given) is below
-    -CROSSING_FLOOR and so guarantees a crossing past the grid.
+    lies between it and the grid point before, and bisection on the sign of
+    det_of_t(mid), negative exactly while the pair is entangled, narrows that
+    bracket to TAU_TOL. With no witness, returns None, or raises
+    GridTooCoarse if lambda_inf (when given) is below -CROSSING_FLOOR and so
+    guarantees a crossing past the grid.
     """
     floor = RELATIVE_SPECTRAL_ZERO  # the partial transpose of a state has spectrum in [-1/2, 1]
     if not mu[0] < -floor:
@@ -125,7 +156,7 @@ def detect_tau(times, mu, mu_of_t, lambda_inf: float | None = None) -> float | N
     lo, hi = float(times[witness - 1]), float(times[witness])
     while hi - lo > TAU_TOL:
         mid = 0.5 * (lo + hi)
-        if mu_of_t(mid) >= floor:
+        if det_of_t(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -135,12 +166,14 @@ def detect_tau(times, mu, mu_of_t, lambda_inf: float | None = None) -> float | N
 def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     """Full sudden-death check for an entangled pair under two couplings.
 
-    Dispatches to the flip or dissipative criterion when both couplings
-    share a class, otherwise falls back to the numerical route. In every
-    case mu(t) is scanned on the grid and tau is filled when a crossing
-    lies on it (the dissipative "not-covered" verdict can still come with a
-    finite tau). rho0 is checked here, once, by pair.check_state, and the
-    grid by pair.check_grid; their errors propagate. A rho0 whose
+    Dispatches to the flip criterion when both couplings are flips and to
+    predict_dissipative otherwise; a mixed pair's verdict is whether the
+    scan finds a crossing. In every case mu(t) is scanned on the grid, the
+    crossing is bisected on the sign of the partial transpose's determinant,
+    and tau is filled when a crossing lies on the grid (the dissipative
+    "not-covered" verdict can still come with a finite tau). rho0 is
+    checked here, once, by pair.check_state, and the grid by
+    pair.check_grid; their errors propagate. A rho0 whose
     mu(0) = pt_min(rho0) is not below -RELATIVE_SPECTRAL_ZERO raises
     NotEntangled before any scan; detect_tau applies the same test to the
     scan's first point.
@@ -151,23 +184,20 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
         # a two-qubit state has C = 0 exactly when its partial transpose is PSD
         raise NotEntangled(f"initial state has zero concurrence: mu(0) = {mu0:.3e}")
     cls1, cls2 = classify(c1), classify(c2)
-    gamma_min = min(c1.gamma, c2.gamma)
     if grid is None:
-        grid = default_grid(gamma=gamma_min)
+        grid = default_grid(gamma=min(c1.gamma, c2.gamma))
 
     if isinstance(cls1, Flip) and isinstance(cls2, Flip):
         verdict = predict_flip(rho0, cls1.u_hat, cls2.u_hat)
-    elif isinstance(cls1, Dissipative) and isinstance(cls2, Dissipative):
-        verdict = predict_dissipative(c1, c2)
     else:
-        lam_late = lambda_at(rho0, c1, c2, 20.0 / gamma_min)
-        verdict = SdeVerdict("no", lam_late, None, METHOD_NUMERICAL)
+        verdict = predict_dissipative(rho0, c1, c2)
 
-    def mu_of_t(t):
-        return pt_min(state_at(rho0, c1, c2, t))
+    def det_of_t(t):
+        return _pt_det(state_at(rho0, c1, c2, t))
 
     times = check_grid(grid)
-    tau = detect_tau(times, [mu_of_t(t) for t in times], mu_of_t, verdict.lambda_inf)
+    mu = [pt_min(state_at(rho0, c1, c2, t)) for t in times]
+    tau = detect_tau(times, mu, det_of_t, verdict.lambda_inf)
     if verdict.method == METHOD_NUMERICAL:
         verdict = replace(verdict, predicted="yes" if tau is not None else "no")
     return replace(verdict, tau=tau)

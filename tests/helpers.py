@@ -8,6 +8,7 @@ from qsde.census import CensusReport, _chart, count_hits
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho, evolve, family_appc
 from qsde.linalg import IDENTITY_2, dot_sigma
 from qsde.pair import check_grid, pt_min, state_at
+from qsde.sde import _pt_det
 
 
 def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -24,12 +25,12 @@ def census_one_shot(n: int, seed: int) -> dict:
 
 
 def mu_scan(rho0, c1: Coupling, c2: Coupling, grid) -> tuple:
-    """(times, mu, mu_of_t) of sde_check's death-time scan, in detect_tau's argument order."""
-    def mu_of_t(t):
-        return pt_min(state_at(rho0, c1, c2, t))
+    """(times, mu, det_of_t) of sde_check's death-time scan, in detect_tau's argument order."""
+    def det_of_t(t):
+        return _pt_det(state_at(rho0, c1, c2, t))
 
     times = check_grid(grid)
-    return times, [mu_of_t(t) for t in times], mu_of_t
+    return times, [pt_min(state_at(rho0, c1, c2, t)) for t in times], det_of_t
 
 
 def choi_six_evolves(coupling: Coupling, t: float) -> np.ndarray:

@@ -255,12 +255,12 @@ def test_c07_dissipative_lambda_inf_closed_form():
         c1 = random_dissipative_coupling(rng, min_w=0.42)
         c2 = random_dissipative_coupling(rng, min_w=0.42)
         rho, _ = random_pure_pair(rng, min_concurrence=0.2)
-        verdict = predict_dissipative(c1, c2)
+        verdict = predict_dissipative(rho, c1, c2)
         dev = abs(verdict.lambda_inf - lambda_at(rho, c1, c2, 20.0))
         worst = max(worst, dev)
     # pinned value for theta = -pi/5 on both qubits
     pinned = -0.04774575140626315  # -cos^2(2 pi / 5) / 2
-    verdict = predict_dissipative(OFF_AD, OFF_AD)
+    verdict = predict_dissipative(initial_state("plus", 0.5), OFF_AD, OFF_AD)
     formula_dev = abs(verdict.lambda_inf - pinned)
     sim_dev = abs(
         verdict.lambda_inf

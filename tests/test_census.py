@@ -18,6 +18,7 @@ from qsde.census import (
 )
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify
 from qsde.errors import InvalidInput
+from qsde.pair import initial_state
 from qsde.sde import predict_dissipative
 
 
@@ -175,7 +176,7 @@ def test_census_amplitude_damping_surface_is_the_criterions(offset):
     u, v = _coupling_with_w(0.5 + offset * AD_TOL)
     c = Coupling(u, v)
     _, n_ad, _ = count_hits(np_cross_norm(u[None, :], v[None, :]))
-    assert n_ad == int(predict_dissipative(c, c).predicted == "not-covered")
+    assert n_ad == int(predict_dissipative(initial_state("plus", 0.5), c, c).predicted == "not-covered")
     assert n_ad == int(abs(offset) < 1.0)
 
 

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import types
 import warnings
 
 import numpy as np
@@ -30,11 +32,25 @@ from helpers import (
     random_unit,
 )
 
+ORACLES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+
+
+def _load_oracles():
+    """perfbench/oracles.py read as text into a fresh module, so no bytecode is written beside it."""
+    module = types.ModuleType("perfbench_oracles")
+    module.__file__ = str(ORACLES)
+    exec(compile(ORACLES.read_text(encoding="utf-8"), str(ORACLES), "exec"), module.__dict__)
+    return module
+
+
+oracles = _load_oracles()
+
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 SIGMA_Z = dot_sigma(Z)
 
 LN2_OVER_4 = 0.17328679513998632
+BELL = initial_state("plus", 0.5)
 
 
 def flip_coupling(axis) -> Coupling:
@@ -155,7 +171,7 @@ def test_flip_criterion_matches_numerics(seed):
 
 def test_dissipative_criterion_amplitude_damping_not_covered():
     c = family_appc(-math.pi / 4)
-    verdict = predict_dissipative(c, c)
+    verdict = predict_dissipative(BELL, c, c)
     assert verdict.predicted == "not-covered"
     assert verdict.lambda_inf == 0.0
     assert verdict.method == "dissipative-criterion"
@@ -163,7 +179,7 @@ def test_dissipative_criterion_amplitude_damping_not_covered():
 
 def test_dissipative_criterion_off_damping_angle_yes():
     c = family_appc(-math.pi / 5)
-    verdict = predict_dissipative(c, c)
+    verdict = predict_dissipative(BELL, c, c)
     assert verdict.predicted == "yes"
     # lam_inf = -cos^2(2 pi / 5) / 2
     assert abs(verdict.lambda_inf - (-0.04774575140626315)) <= 1e-12
@@ -171,7 +187,7 @@ def test_dissipative_criterion_off_damping_angle_yes():
 
 def test_dissipative_criterion_small_w_limit():
     c = family_appc(1e-4)
-    verdict = predict_dissipative(c, c)
+    verdict = predict_dissipative(BELL, c, c)
     assert verdict.predicted == "yes"
     assert abs(verdict.lambda_inf + 0.5) <= 1e-6
 
@@ -183,9 +199,9 @@ def test_dissipative_criterion_sufficiency(seed):
     rng = np.random.default_rng(1500 + seed)
     c1 = random_dissipative_coupling(rng, min_w=0.3)
     c2 = random_dissipative_coupling(rng, min_w=0.3)
-    verdict = predict_dissipative(c1, c2)
-    assert verdict.predicted == "yes"
     rho, _ = random_pure_pair(rng, min_concurrence=0.15)
+    verdict = predict_dissipative(rho, c1, c2)
+    assert verdict.predicted == "yes"
     tau = detect_tau(*mu_scan(rho, c1, c2, np.linspace(0.0, 10.0, 201)), lambda_inf=verdict.lambda_inf)
     assert tau is not None
     assert abs(lambda_at(rho, c1, c2, tau)) <= 1e-6
@@ -212,6 +228,16 @@ def test_detect_tau_amplitude_damping_matches_closed_form():
     assert abs(lambda_at(rho, c, c, tau)) <= 1e-6
 
 
+def test_sde_check_tau_on_a_flat_amplitude_damping_crossing():
+    # alpha_sq just above 1/2 makes mu pass through 0 at ~4e-9 per unit time,
+    # so a bisection on mu >= RELATIVE_SPECTRAL_ZERO landed 3.9e-6 late
+    c = family_appc(-math.pi / 4, gamma=1.478)
+    inp = {"u1": c.u, "v1": c.v, "u2": c.u, "v2": c.v, "gamma": c.gamma, "state": {"alpha_sq": 0.50002}}
+    verdict = sde_check(initial_state("plus", 0.50002), c, c)
+    assert verdict.predicted == "not-covered"
+    assert abs(verdict.tau - oracles.ad_closed_form_tau(inp)) <= oracles.TAU_CLOSED_FORM_TOL
+
+
 def test_detect_tau_none_below_threshold_weight():
     rho = initial_state("plus", 0.2)
     c = family_appc(-math.pi / 4)
@@ -219,9 +245,9 @@ def test_detect_tau_none_below_threshold_weight():
 
 
 def test_detect_tau_bisects_across_a_wide_grid_gap():
-    # one crossing and no revival: a bracket of any width is bisected
+    # one crossing and no revival: a bracket of any width is bisected, on the callable's sign
     tau = detect_tau([0.0, 5.0], [-0.8, 0.1], lambda t: 0.18 * t - 0.8)
-    assert abs(tau - (0.8 + RELATIVE_SPECTRAL_ZERO) / 0.18) <= TAU_TOL
+    assert abs(tau - 0.8 / 0.18) <= TAU_TOL
 
 
 def test_detect_tau_crossing_beyond_grid_raises():
@@ -298,14 +324,41 @@ def test_tau_is_continuous_across_the_exempt_surfaces(surface, seed):
         gamma = rng.uniform(0.5, 2.0)
         rho = random_hs_state(rng)
         c1, c2 = _coupling_with_w(rng, w_norm, gamma), _coupling_with_w(rng, w_norm, gamma)
-        times, mu, mu_of_t = mu_scan(rho, c1, c2, np.linspace(0.0, 20.0 / gamma, 101))
+        times, mu, det_of_t = mu_scan(rho, c1, c2, np.linspace(0.0, 20.0 / gamma, 101))
         assume(mu[0] < -RELATIVE_SPECTRAL_ZERO)
-        taus.append(detect_tau(times, mu, mu_of_t))
+        taus.append(detect_tau(times, mu, det_of_t))
         sides.append(isinstance(classify(c1), Flip) if surface == "flip"
-                     else predict_dissipative(c1, c2).predicted)
+                     else predict_dissipative(rho, c1, c2).predicted)
     assert sides == ([True, False] if surface == "flip" else ["not-covered", "yes"])
     assert None not in taus
     assert abs(taus[0] - taus[1]) <= 3e-7
+
+
+# ---------------------------------------------------------------------------
+# The long-time limit of a pair with a dissipative qubit
+
+
+def test_mixed_limit_of_the_flip_dissipative_reproducer():
+    # a Bell state's marginals are maximally mixed, so the flip qubit tends to
+    # the centre and lam_inf = -1/2 sqrt(1 - |2 w|^2) = -cos(0.002) / 2
+    verdict = sde_check(BELL, family_appc(0.0), family_appc(0.001))
+    assert verdict.method == "numerical"
+    assert abs(verdict.lambda_inf + 0.5 * math.cos(0.002)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), flip_first=st.booleans())
+def test_mixed_limit_is_the_oracles_lam_after_sixty_lifetimes(seed, flip_first):
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(0.5, 2.0)
+    rho = random_hs_state(rng)
+    flip, dis = random_flip_coupling(rng, gamma), random_dissipative_coupling(rng, gamma)
+    c1, c2 = (flip, dis) if flip_first else (dis, flip)
+    verdict = predict_dissipative(rho, c1, c2)
+    # the flip qubit relaxes at 4 gamma, the dissipative one at 2 gamma (1 - 2 q) and faster
+    t = 60.0 / (2.0 * gamma * (1.0 - 2.0 * classify(dis).q))
+    assert verdict.method == "numerical"
+    assert abs(verdict.lambda_inf - oracles.lam_at(rho, c1.u, c1.v, c2.u, c2.v, gamma, t)) <= 1e-11
 
 
 # ---------------------------------------------------------------------------
