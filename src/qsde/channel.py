@@ -22,6 +22,7 @@ the dynamics into two closed-form regimes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,8 +40,32 @@ FLIP_TOL = 1e-9
 AD_TOL = 1e-9
 
 
+def check_array(value, field: str, kinds: str) -> np.ndarray:
+    """value as a numpy array whose dtype kind is one of kinds: "iuf" for real, "iufc" for complex.
+
+    Text, bools, objects and ragged nestings raise InvalidInput naming field,
+    where a plain np.asarray(value, dtype) would parse "0.5", take True as 1
+    or fail with a ValueError or TypeError of its own.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise InvalidInput(field, "expected an array of numbers, got a ragged nesting") from None
+    if arr.dtype.kind not in kinds:
+        wanted = "numbers" if "c" in kinds else "real numbers"
+        raise InvalidInput(field, f"expected {wanted}, got dtype {arr.dtype}")
+    return arr
+
+
+def check_real(value, field: str) -> float:
+    """value as a float when it is a finite real number, numpy's too, but no bool or text."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise InvalidInput(field, f"expected a finite real number, got {value!r}")
+
+
 def _vector3(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = np.asarray(check_array(value, name, "iuf"), dtype=float)
     if arr.shape != (3,):
         raise InvalidInput(name, f"must be a real 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -72,11 +97,12 @@ class Coupling:
             raise InvalidInput(
                 "coupling", f"|u|^2 + |v|^2 = {norm2!r} must equal 1 within {NORMALIZATION_TOL:.0e}"
             )
-        if not (float(self.gamma) > 0.0):
+        gamma = check_real(self.gamma, "gamma")
+        if not gamma > 0.0:
             raise InvalidInput("gamma", "gamma must be positive")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", gamma)
 
     @cached_property
     def regime(self) -> Flip | Dissipative:
@@ -136,16 +162,7 @@ def classify(coupling: Coupling) -> Flip | Dissipative:
 
 def bloch_to_rho(r) -> np.ndarray:
     """Density matrix (1 + r . sigma) / 2 of a Bloch vector, or one per row of an (n, 3) stack."""
-    r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    sigma = np.empty(r.shape[:-1] + (2, 2), dtype=complex)
-    iy = 1j * y
-    sigma[..., 0, 0] = z
-    sigma[..., 0, 1] = x - iy
-    sigma[..., 1, 0] = x + iy
-    sigma[..., 1, 1] = -z
-    # adding the identity also turns every -0.0 into +0.0, as it does to dot_sigma(r)
-    return 0.5 * (IDENTITY_2 + sigma)
+    return 0.5 * (IDENTITY_2 + dot_sigma(r))
 
 
 def evolve_flip(r0, u_hat, gamma: float, t: float) -> np.ndarray:
@@ -243,6 +260,7 @@ def family(theta: float, phi: float, gamma: float = 1.0) -> Coupling:
     normalized by construction. phi = pi/2, |theta| = pi/4 gives standard
     amplitude damping; theta = 0 or phi in {0, pi} degenerates to a flip.
     """
+    theta, phi = check_real(theta, "theta"), check_real(phi, "phi")
     sin_phi = math.sin(phi)
     u = np.array([sin_phi * math.cos(theta), 0.0, math.cos(phi)])
     v = np.array([0.0, -sin_phi * math.sin(theta), 0.0])
@@ -255,6 +273,7 @@ def family_appc(theta: float, gamma: float = 1.0) -> Coupling:
     |u x v| = |sin(2 theta)| / 2, so theta = -pi/4 is standard amplitude
     damping and theta in {0, pi/2, pi, ...} degenerates to a flip.
     """
+    theta = check_real(theta, "theta")
     u = np.array([math.cos(theta), 0.0, 0.0])
     v = np.array([0.0, math.sin(theta), 0.0])
     return Coupling(u=u, v=v, gamma=gamma)

@@ -23,10 +23,14 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
+# The Pauli vector (sigma_x, sigma_y, sigma_z), one flattened matrix per row
+_PAULI_ROWS = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex)
+
+
 def dot_sigma(r) -> np.ndarray:
-    """Return r . sigma for a real 3-vector r."""
-    x, y, z = (float(c) for c in r)
-    return np.array([[z, x - 1j * y], [x + 1j * y, -z]], dtype=complex)
+    """Return r . sigma, exact, for a real 3-vector r or for each row of an (n, 3) stack."""
+    r = np.asarray(r, dtype=float)
+    return (r @ _PAULI_ROWS).reshape(r.shape[:-1] + (2, 2))
 
 
 def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:

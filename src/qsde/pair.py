@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Coupling
+from .channel import Coupling, check_array, check_real
 from .choi import kraus_of_coupling
 from .errors import InvalidInput
 from .linalg import SIGMA_Y, herm_eig, psd_spectrum, sqrt_psd
@@ -46,6 +46,7 @@ def initial_state(kind: str, alpha_sq: float) -> np.ndarray:
     """
     if kind not in ("plus", "minus"):
         raise InvalidInput("kind", f"must be 'plus' or 'minus', got {kind!r}")
+    alpha_sq = check_real(alpha_sq, "alpha_sq")
     if not 0.0 <= alpha_sq <= 1.0:
         raise InvalidInput("alpha_sq", f"{alpha_sq!r} outside [0, 1]")
     alpha = math.sqrt(alpha_sq)
@@ -61,13 +62,14 @@ def initial_state(kind: str, alpha_sq: float) -> np.ndarray:
 def check_state(rho) -> np.ndarray:
     """The two-qubit state rule, applied once where a state enters the library.
 
-    Returns rho as a complex array when its entries are finite and it is
-    4x4, Hermitian within HERMITIAN_TOL, of trace 1 within DENSITY_TRACE_TOL
-    and has no eigenvalue below -1e-9. Otherwise raises InvalidInput with
+    Returns rho as a complex array when its entries are finite numbers,
+    not text or bools (channel.check_array), and it is 4x4, Hermitian
+    within HERMITIAN_TOL, of trace 1 within DENSITY_TRACE_TOL and has no
+    eigenvalue below -1e-9. Otherwise raises InvalidInput with
     field ``rho0``, whose message names the failed test. Functions past
     this point trust the states they are given.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(check_array(rho, "rho0", "iufc"), dtype=complex)
     if not np.all(np.isfinite(rho)):
         raise InvalidInput("rho0", "state matrix entries must be finite")
     if rho.shape != (4, 4):
@@ -133,14 +135,30 @@ def lambda_at(rho0, c1: Coupling, c2: Coupling, t: float) -> float:
     return concurrence(state_at(rho0, c1, c2, t)).lam
 
 
+def _partial_transpose(rho) -> np.ndarray:
+    """The qubit-2 partial transpose of a 4x4 matrix."""
+    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+
+
 def pt_min(rho) -> float:
     """Smallest eigenvalue of the qubit-2 partial transpose of rho, in [-1/2, 1] for a state.
 
     A two-qubit state is entangled exactly when it is negative (Peres-Horodecki);
     one eigvalsh and no square root resolve its sign to ~eps.
     """
-    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return float(np.linalg.eigvalsh(pt)[0])
+    return float(np.linalg.eigvalsh(_partial_transpose(rho))[0])
+
+
+def pt_det(rho) -> float:
+    """Determinant of the qubit-2 partial transpose of rho, whose smallest eigenvalue is pt_min.
+
+    An entangled two-qubit state's partial transpose has full rank and one
+    negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so
+    this is negative exactly while rho is entangled (Augusiak, Demianowicz &
+    Horodecki, PRA 77, 030301(R) (2008)). On the graded spectrum near a
+    crossing LU keeps this sign where eigvalsh's ~eps error hides pt_min's.
+    """
+    return float(np.linalg.det(_partial_transpose(rho)).real)
 
 
 def default_grid(gamma: float = 1.0) -> np.ndarray:
@@ -153,8 +171,8 @@ def default_grid(gamma: float = 1.0) -> np.ndarray:
 
 
 def check_grid(grid) -> np.ndarray:
-    """The grid rule of every time scan: a non-empty 1-d array, from t = 0, strictly increasing."""
-    grid = np.asarray(grid, dtype=float)
+    """The grid rule of every time scan: 1-d, non-empty, real, from t = 0 and strictly increasing."""
+    grid = np.asarray(check_array(grid, "grid", "iuf"), dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise InvalidInput("grid", "grid must be a non-empty 1-d array of times")
     if grid[0] != 0.0:

@@ -15,13 +15,14 @@ Two closed-form routes cover every pair:
   dissipative, |u x v| != 1/2 on both is sufficient for sudden death from
   any entangled initial state; when some |w| = 1/2 (standard amplitude
   damping) the criterion is silent: sudden death may or may not occur.
-  A mixed flip/dissipative pair takes its verdict from the scan.
+  A flip qubit's limit has |a| < 1 from an entangled state, so a mixed
+  flip/dissipative pair obeys the same criterion on its dissipative qubit.
 
-Every route scans for the death time tau on the sign of mu(t) = pair.pt_min
-and bisects the crossing on the sign of the partial transpose's determinant,
-both negative exactly while the pair is entangled; local channels keep
-separable states separable, so entanglement holds on one interval [0, tau)
-and never revives.
+The verdict comes from the criterion alone. Every route also scans for the
+death time tau on the sign of mu(t) = pair.pt_min and bisects the crossing
+on the sign of pair.pt_det, both negative exactly while the pair is
+entangled; local channels keep separable states separable, so entanglement
+holds on one interval [0, tau) and never revives.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .channel import AD_TOL, Coupling, Flip, bloch_to_rho, classify
-from .errors import GridTooCoarse, NotEntangled
+from .errors import GridTooCoarse, InvalidInput, NotEntangled
 from .linalg import IDENTITY_2, RELATIVE_SPECTRAL_ZERO, dot_sigma
-from .pair import check_grid, check_state, default_grid, pt_min, state_at
+from .pair import check_grid, check_state, default_grid, pt_det, pt_min, state_at
 # perfbench/tracing.py wraps these three under the names sde imports them by
 from .pair import concurrence, lambda_at, lambda_trajectory  # noqa: F401
 
@@ -58,9 +59,10 @@ METHOD_NUMERICAL = "numerical"
 class SdeVerdict:
     """Outcome of a sudden-death check.
 
-    predicted is "yes", "no" or "not-covered"; tau (time units 1/gamma) is
-    filled when a crossing was located numerically; method records which
-    criterion produced the verdict.
+    predicted is "yes", "no" or "not-covered", from the criterion alone;
+    tau is the death time t itself (not gamma t), filled when the scan finds
+    a crossing on the grid; method names the criterion's route, "numerical"
+    for a mixed flip/dissipative pair.
     """
 
     predicted: str
@@ -92,11 +94,11 @@ def predict_dissipative(rho0, c1: Coupling, c2: Coupling) -> SdeVerdict:
 
     The pair tends to a product state, so lambda_inf = -1/2 sqrt((1 - |a1|^2)
     (1 - |a2|^2)) over the limit Bloch vectors: |a| = 2 |w| on a dissipative
-    qubit, and on a flip qubit its marginal's component along u_hat. Yes when
-    every dissipative |u x v| differs from 1/2 by more than AD_TOL, for any
-    entangled rho0; else "not-covered". Two dissipative couplings give
-    METHOD_DISSIPATIVE, a mixed pair METHOD_NUMERICAL (sde_check then takes
-    the verdict from the scan).
+    qubit, and on a flip qubit its marginal's component along u_hat, below 1
+    for an entangled rho0. So the verdict is yes when every dissipative
+    |u x v| differs from 1/2 by more than AD_TOL, for any entangled rho0,
+    else "not-covered", with a flip qubit or without. Two dissipative
+    couplings give METHOD_DISSIPATIVE, a mixed pair METHOD_NUMERICAL.
     """
     product, covered, mixed = 1.0, True, False
     for side, c in enumerate((c1, c2)):
@@ -116,30 +118,20 @@ def predict_dissipative(rho0, c1: Coupling, c2: Coupling) -> SdeVerdict:
     return SdeVerdict("yes" if covered else "not-covered", lam_inf, None, method)
 
 
-def _pt_det(rho) -> float:
-    """Determinant of pair.pt_min's matrix, the qubit-2 partial transpose of rho.
-
-    An entangled two-qubit state's partial transpose has full rank and one
-    negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so
-    this is negative exactly while rho is entangled (Augusiak, Demianowicz &
-    Horodecki, PRA 77, 030301(R) (2008)). On the graded spectrum near a
-    crossing LU keeps this sign where eigvalsh's ~eps error hides pt_min's.
-    """
-    pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    return float(np.linalg.det(pt).real)
-
-
 def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | None:
     """The death time tau from mu = pair.pt_min at times, a grid that passes pair.check_grid.
 
     With floor = RELATIVE_SPECTRAL_ZERO, the scan must start entangled,
     mu[0] < -floor, or NotEntangled is raised. The first grid point with
-    mu >= floor witnesses separability; as entanglement never revives, tau
-    lies between it and the grid point before, and bisection on the sign of
-    det_of_t(mid), negative exactly while the pair is entangled, narrows that
-    bracket to TAU_TOL. With no witness, returns None, or raises
-    GridTooCoarse if lambda_inf (when given) is below -CROSSING_FLOOR and so
-    guarantees a crossing past the grid.
+    mu >= floor witnesses separability. As entanglement never revives, tau
+    lies between it and the point before, unless that point's mu, in
+    [0, floor), sat past the crossing already: the bracket steps back while
+    det_of_t, negative exactly while the pair is entangled, is >= 0 at its
+    lower end. Bisection on the sign of det_of_t(mid) narrows the bracket
+    to TAU_TOL, or until mid is no double strictly inside it, as happens
+    past t = 2**23. With no witness, returns None, or raises GridTooCoarse
+    if lambda_inf (when given) is below -CROSSING_FLOOR and so guarantees a
+    crossing past the grid.
     """
     floor = RELATIVE_SPECTRAL_ZERO  # the partial transpose of a state has spectrum in [-1/2, 1]
     if not mu[0] < -floor:
@@ -153,9 +145,10 @@ def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | 
             )
         return None
 
+    while witness > 1 and det_of_t(times[witness - 1]) >= 0.0:
+        witness -= 1
     lo, hi = float(times[witness - 1]), float(times[witness])
-    while hi - lo > TAU_TOL:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > TAU_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         if det_of_t(mid) >= 0.0:
             hi = mid
         else:
@@ -166,18 +159,21 @@ def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | 
 def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     """Full sudden-death check for an entangled pair under two couplings.
 
-    Dispatches to the flip criterion when both couplings are flips and to
-    predict_dissipative otherwise; a mixed pair's verdict is whether the
-    scan finds a crossing. In every case mu(t) is scanned on the grid, the
-    crossing is bisected on the sign of the partial transpose's determinant,
-    and tau is filled when a crossing lies on the grid (the dissipative
-    "not-covered" verdict can still come with a finite tau). rho0 is
-    checked here, once, by pair.check_state, and the grid by
-    pair.check_grid; their errors propagate. A rho0 whose
+    The verdict is predict_flip's when both couplings are flips and
+    predict_dissipative's otherwise, mixed pairs included. In every case
+    mu(t) is scanned on the grid, the crossing is bisected on the sign of
+    pair.pt_det, and tau is filled when a crossing lies on the grid (a
+    "not-covered" verdict can still come with a finite tau). c1 and c2
+    must be Couplings, else InvalidInput names them. rho0 is checked here,
+    once, by pair.check_state, and the grid by pair.check_grid; their
+    errors propagate. A rho0 whose
     mu(0) = pt_min(rho0) is not below -RELATIVE_SPECTRAL_ZERO raises
     NotEntangled before any scan; detect_tau applies the same test to the
     scan's first point.
     """
+    for field, c in (("c1", c1), ("c2", c2)):
+        if not isinstance(c, Coupling):
+            raise InvalidInput(field, f"expected a Coupling, got {type(c).__name__}")
     rho0 = check_state(rho0)
     mu0 = pt_min(rho0)
     if not mu0 < -RELATIVE_SPECTRAL_ZERO:
@@ -193,11 +189,8 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
         verdict = predict_dissipative(rho0, c1, c2)
 
     def det_of_t(t):
-        return _pt_det(state_at(rho0, c1, c2, t))
+        return pt_det(state_at(rho0, c1, c2, t))
 
     times = check_grid(grid)
     mu = [pt_min(state_at(rho0, c1, c2, t)) for t in times]
-    tau = detect_tau(times, mu, det_of_t, verdict.lambda_inf)
-    if verdict.method == METHOD_NUMERICAL:
-        verdict = replace(verdict, predicted="yes" if tau is not None else "no")
-    return replace(verdict, tau=tau)
+    return replace(verdict, tau=detect_tau(times, mu, det_of_t, verdict.lambda_inf))

@@ -7,8 +7,7 @@ import numpy as np
 from qsde.census import CensusReport, _chart, count_hits
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho, evolve, family_appc
 from qsde.linalg import IDENTITY_2, dot_sigma
-from qsde.pair import check_grid, pt_min, state_at
-from qsde.sde import _pt_det
+from qsde.pair import check_grid, pt_det, pt_min, state_at
 
 
 def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,7 +26,7 @@ def census_one_shot(n: int, seed: int) -> dict:
 def mu_scan(rho0, c1: Coupling, c2: Coupling, grid) -> tuple:
     """(times, mu, det_of_t) of sde_check's death-time scan, in detect_tau's argument order."""
     def det_of_t(t):
-        return _pt_det(state_at(rho0, c1, c2, t))
+        return pt_det(state_at(rho0, c1, c2, t))
 
     times = check_grid(grid)
     return times, [pt_min(state_at(rho0, c1, c2, t)) for t in times], det_of_t

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from qsde.census import run_census
-from qsde.channel import Coupling
+from qsde.channel import Coupling, family_appc
 from qsde.errors import InvalidInput, QsdeError
 from qsde.pair import check_state, default_grid, initial_state, lambda_trajectory
+from qsde.sde import sde_check
 
 X = np.array([1.0, 0.0, 0.0])
 NO_V = np.zeros(3)
@@ -28,14 +29,29 @@ SITES = [
     ("v-finite", lambda: Coupling(u=X, v=[math.nan, 0.0, 0.0]), "v"),
     ("degenerate", lambda: Coupling(u=NO_V, v=NO_V), "coupling"),
     ("normalization", lambda: Coupling(u=X, v=X), "coupling"),
+    ("u-text", lambda: Coupling(u="abc", v=NO_V), "u"),
+    ("u-complex", lambda: Coupling(u=[1j, 0.0, 0.0], v=NO_V), "u"),
     ("gamma", lambda: Coupling(u=X, v=NO_V, gamma=0.0), "gamma"),
+    ("gamma-text", lambda: Coupling(u=X, v=NO_V, gamma="x"), "gamma"),
+    ("gamma-none", lambda: Coupling(u=X, v=NO_V, gamma=None), "gamma"),
+    ("gamma-inf", lambda: Coupling(u=X, v=NO_V, gamma=math.inf), "gamma"),
     ("alpha_sq", lambda: initial_state("plus", 1.5), "alpha_sq"),
+    ("alpha_sq-text", lambda: initial_state("plus", "0.5"), "alpha_sq"),
+    ("alpha_sq-none", lambda: initial_state("plus", None), "alpha_sq"),
+    ("theta-text", lambda: family_appc("x"), "theta"),
+    ("theta-inf", lambda: family_appc(math.inf), "theta"),
     ("kind", lambda: initial_state("psi", 0.5), "kind"),
     ("rho0-finite", lambda: check_state(_with(BELL, (1, 1), math.nan)), "rho0"),
     ("rho0-shape", lambda: check_state(np.eye(3) / 3.0), "rho0"),
     ("rho0-hermitian", lambda: check_state(_with(BELL, (0, 1), 1e-6)), "rho0"),
     ("rho0-trace", lambda: check_state(np.eye(4) / 3.0), "rho0"),
     ("rho0-eigenvalue", lambda: check_state(BELL + np.diag([0.0, 2e-9, -2e-9, 0.0])), "rho0"),
+    ("rho0-text", lambda: sde_check("abc", FLIP, FLIP), "rho0"),
+    ("rho0-text-entries", lambda: sde_check(BELL.astype(str), FLIP, FLIP), "rho0"),
+    ("rho0-ragged", lambda: sde_check([[0.5, 0.0], [0.5]], FLIP, FLIP), "rho0"),
+    ("grid-text", lambda: sde_check(BELL, FLIP, FLIP, grid="0 1 2"), "grid"),
+    ("c1", lambda: sde_check(BELL, "appc:0.3", FLIP), "c1"),
+    ("c2", lambda: sde_check(BELL, FLIP, None), "c2"),
     ("grid-empty", lambda: lambda_trajectory(BELL, FLIP, FLIP, []), "grid"),
     ("grid-start", lambda: lambda_trajectory(BELL, FLIP, FLIP, [0.5, 1.0]), "grid"),
     ("grid-increasing", lambda: lambda_trajectory(BELL, FLIP, FLIP, [0.0, 1.0, 1.0]), "grid"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify, evolve, family_appc
-from qsde.pair import concurrence, initial_state, lambda_at, pt_min, state_at
+from qsde.pair import concurrence, initial_state, lambda_at, pt_det, pt_min, state_at
 from qsde.sde import (
     TAU_TOL,
     detect_tau,
@@ -263,18 +263,70 @@ def test_detect_tau_requires_entangled_start():
 
 
 def test_detect_tau_brackets_the_first_witness_with_the_point_before():
-    # 5e-15 and 1e-14 lie under the floor, so the first witness is t = 0.5 and
-    # the bracket is [0.4, 0.5], however close to zero the points before read
+    # 5e-15 and 1e-14 lie under the floor, so the first witness is t = 0.5;
+    # the determinant is negative at 0.4, so the bracket is [0.4, 0.5]
     times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     mu = [-0.5, -0.3, -5e-15, 5e-15, 1e-14, 0.2]
     calls = []
 
-    def mu_of_t(t):
+    def det_of_t(t):
         calls.append(t)
         return t - 0.45
 
-    assert abs(detect_tau(times, mu, mu_of_t) - 0.45) <= TAU_TOL
-    assert calls[0] == 0.5 * (0.4 + 0.5)
+    assert abs(detect_tau(times, mu, det_of_t) - 0.45) <= TAU_TOL
+    assert calls[:2] == [0.4, 0.5 * (0.4 + 0.5)]
+
+
+def test_detect_tau_steps_the_bracket_back_to_a_negative_determinant():
+    # mu reads 5e-15 and 1e-14 at 0.3 and 0.4, under the floor, but the
+    # determinant is already >= 0 there: the crossing at 0.25 lies before both
+    times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+    mu = [-0.5, -0.3, -5e-15, 5e-15, 1e-14, 0.2]
+    assert abs(detect_tau(times, mu, lambda t: t - 0.25) - 0.25) <= TAU_TOL
+
+
+def _oracle_pt_det(rho0, c1, c2, t):
+    """det of the qubit-2 partial transpose of the oracle's state at t, from its transfer matrices."""
+    r = oracles.transfer(c1.u, c1.v, c1.gamma, t) @ oracles.correlations(rho0) @ oracles.transfer(
+        c2.u, c2.v, c2.gamma, t).T
+    state = oracles.state_of(r)
+    return float(np.linalg.det(state.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)).real)
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 60.0, 361)], ids=["default", "60-over-gamma"])
+def test_sde_check_tau_when_the_point_before_the_witness_is_past_the_crossing(grid):
+    # the 1e-9 and 1e-12 populations make det(rho^Gamma) cross zero while mu
+    # is still under the floor: a bracket from the point before the first
+    # witness lay wholly past the crossing, and tau came back as that grid
+    # point, 2.5313283 on the default grid and 2.5 on this one
+    p = (1.0 - 1e-9 - 1e-12) / 2.0
+    rho = np.diag([p, 1e-9, 1e-12, p]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 0.45
+    c1, c2 = family_appc(-math.pi / 4), flip_coupling(Z)
+    lo, hi = 2.0, 3.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _oracle_pt_det(rho, c1, c2, mid) >= 0.0 else (mid, hi)
+    tau = sde_check(rho, c1, c2, grid).tau
+    assert pt_det(state_at(rho, c1, c2, tau - 2.0 * TAU_TOL)) < 0.0
+    # the crossing is conditioned to ~3e-5 in t here
+    assert abs(tau - lo) <= 1e-4
+
+
+def test_detect_tau_ends_where_adjacent_doubles_lie_more_than_tau_tol_apart():
+    # near 4.3e7 adjacent doubles are 7.5e-9 apart, so hi - lo never reaches TAU_TOL
+    root = 4.3e7 + 0.3
+    tau = detect_tau([0.0, 5e7], [-0.5, 0.1], lambda t: t - root)
+    assert abs(tau - root) <= math.ulp(root)
+
+
+def test_sde_check_keeps_gamma_tau_at_a_tiny_gamma():
+    # at gamma = 1e-8 tau is 4e7, where the bisection ends on adjacent doubles
+    taus = []
+    for gamma in (1.0, 1e-8):
+        c = family_appc(0.3, gamma=gamma)
+        taus.append(gamma * sde_check(initial_state("plus", 0.4), c, c).tau)
+    assert abs(taus[1] - taus[0]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +475,16 @@ def test_sde_check_mixed_classes_numerical():
         family_appc(-math.pi / 5),
     )
     assert verdict.method == "numerical"
-    assert verdict.predicted in ("yes", "no")
-    assert (verdict.tau is not None) == (verdict.predicted == "yes")
+    assert verdict.predicted == "yes"
+    assert verdict.tau is not None
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 40.0, 400)], ids=["default", "40-over-gamma"])
+def test_sde_check_mixed_pair_on_the_amplitude_damping_surface_is_not_covered(grid):
+    # the criterion is silent on |w| = 1/2 with a flip qubit as without one;
+    # no crossing on the grid does not make the verdict "no"
+    verdict = sde_check(BELL, flip_coupling(Z), family_appc(-math.pi / 4), grid)
+    assert (verdict.predicted, verdict.lambda_inf, verdict.tau) == ("not-covered", 0.0, None)
 
 
 def test_sde_check_rejects_separable():
