@@ -177,16 +177,16 @@ def evolve_flip(r0, u_hat, gamma: float, t: float) -> np.ndarray:
     return parallel + math.exp(-4.0 * gamma * t) * (r0 - parallel)
 
 
-def kraus_flip(u_hat, gamma: float, t: float) -> list[np.ndarray]:
-    """Kraus pair of the flip channel at time t.
+def kraus_flip(u_hat, gamma: float, t: float) -> np.ndarray:
+    """Kraus pair of the flip channel at time t, as a (2, 2, 2) stack.
 
     K1 = sqrt(p) 1, K2 = sqrt(1 - p) (u_hat . sigma), p = (1 + e^{-4 gamma t}) / 2.
     """
     p = 0.5 * (1.0 + math.exp(-4.0 * gamma * t))
-    return [
+    return np.stack([
         math.sqrt(p) * IDENTITY_2,
         math.sqrt(1.0 - p) * dot_sigma(u_hat),
-    ]
+    ])
 
 
 def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarray:

@@ -9,7 +9,8 @@ by linearity: the diagonal images from the +-z axial states, the
 off-diagonal ones from combinations of the +-x and +-y images. Any
 factorization S S^dag = choi yields Kraus operators by un-vectorizing the
 columns of S; here S comes from the eigendecomposition, which gives the
-canonical (minimal) set. Kraus sets are never unique, so tests compare
+canonical (minimal) set, returned as an (r, 2, 2) stack like every Kraus
+set in the library. Kraus sets are never unique, so tests compare
 channel action, not operator lists.
 """
 
@@ -52,14 +53,15 @@ def choi_of_channel(coupling: Coupling, t: float) -> np.ndarray:
     return choi
 
 
-def kraus_of_choi(choi) -> tuple[list[np.ndarray], np.ndarray]:
-    """Kraus operators of a Choi matrix, and its descending spectrum.
+def kraus_of_choi(choi) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus operators of a Choi matrix as an (r, 2, 2) stack, and its descending spectrum.
 
     Columns of the PSD factor S (S S^dag = choi) are un-stacked into 2x2
-    operators; the zero columns, of eigenvalues the PSD rule snapped to
-    zero, are dropped. One eigendecomposition serves the dust warning, the
-    factor and the returned spectrum. Raises NotPSD (via the factorization)
-    when the matrix is not PSD beyond dust level.
+    operators, K_i[a, b] = S[a + 2 b, i]; one mask drops the zero columns,
+    of eigenvalues the PSD rule snapped to zero, so r is the rank the rule
+    leaves. One eigendecomposition serves the dust warning, the factor and
+    the returned spectrum. Raises NotPSD (via the factorization) when the
+    matrix is not PSD beyond dust level.
     """
     values, vectors = herm_eig(choi)
     if values[-1] < CHOI_DUST_WARN:
@@ -67,15 +69,15 @@ def kraus_of_choi(choi) -> tuple[list[np.ndarray], np.ndarray]:
             "clipping negative Choi eigenvalue %.3e to zero", float(values[-1])
         )
     s = psd_factor(values, vectors)
-    operators = [s[:, i].reshape(2, 2, order="F") for i in range(s.shape[1])]
     # A column is sqrt(snapped eigenvalue) times a unit vector: zero exactly when the
     # PSD rule snapped it, else of max-abs >= sqrt(64 eps lam_max) / 2 ~ 4.2e-8, since
     # the trace 2 gives lam_max >= 1/2 and a unit 4-vector has an entry >= 1/2.
-    return [k for k in operators if k.any()], values
+    kept = s[:, s.any(axis=0)]
+    return kept.reshape(2, 2, -1).transpose(2, 1, 0), values
 
 
-def kraus_of_coupling(coupling: Coupling, t: float) -> list[np.ndarray]:
-    """Kraus set of the channel at time t.
+def kraus_of_coupling(coupling: Coupling, t: float) -> np.ndarray:
+    """Kraus set of the channel at time t, as an (r, 2, 2) stack.
 
     Flip couplings use the closed two-operator form directly; dissipative
     ones go through the Choi factorization.
@@ -86,8 +88,8 @@ def kraus_of_coupling(coupling: Coupling, t: float) -> list[np.ndarray]:
     return kraus_flip(cls.u_hat, coupling.gamma, t)
 
 
-def completeness_residual(kraus: list[np.ndarray]) -> float:
-    """max |sum_i K_i^dag K_i - 1|, zero for a trace-preserving set."""
+def completeness_residual(kraus) -> float:
+    """max |sum_i K_i^dag K_i - 1| over an (r, 2, 2) stack, zero for a trace-preserving set."""
     acc = np.zeros((2, 2), dtype=complex)
     for k in kraus:
         acc += k.conj().T @ k

@@ -34,9 +34,9 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 # The most points a --grid may have. A grid is evaluated point by point: on a
-# 2-vCPU VM, 10**6 points take `evolve` (~50 us a point) about a minute and
-# `trajectory` (~0.85 ms a point, appc:0.3 on both qubits) about a quarter of
-# an hour, and fill 8 MB. A count far above that is a mistake, and one of
+# 2-vCPU VM, 10**6 points take `evolve` (20-30 us a point) under half a minute
+# and `trajectory` (0.14-0.18 ms a point, appc:0.3 on both qubits) under three
+# minutes, and fill 8 MB. A count far above that is a mistake, and one of
 # ~1e15 is refused by numpy's allocator, not run.
 MAX_GRID_POINTS = 10**6
 

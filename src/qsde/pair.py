@@ -85,18 +85,20 @@ def check_state(rho) -> np.ndarray:
 
 
 def evolve_pair(rho0, kraus1, kraus2) -> np.ndarray:
-    """Evolve a two-qubit state by independent local Kraus sets.
+    """Evolve a two-qubit state by independent local Kraus sets, (r, 2, 2) stacks or lists of 2x2s.
 
-    rho(t) = sum_{ij} (K_i (x) K_j) rho0 (K_i (x) K_j)^dag.
+    rho(t) = sum_{ij} (K_i (x) K_j) rho0 (K_i (x) K_j)^dag. Every K_i (x) K_j
+    is formed at once, by np.kron's products, as one (r1 r2, 4, 4) stack,
+    which one batched product applies. The terms are added in the order i,
+    then j, onto a +0 accumulator: numpy reduces a leading axis term by term
+    (it sums pairwise only along a contiguous last axis), so the state is
+    that of a double loop over the pairs, bit for bit.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for k1 in kraus1:
-        for k2 in kraus2:
-            # np.kron(k1, k2) by the same products, without its per-call overhead
-            k = (k1[:, None, :, None] * k2[None, :, None, :]).reshape(4, 4)
-            out += k @ rho0 @ k.conj().T
-    return out
+    k1 = np.asarray(kraus1, dtype=complex)
+    k2 = np.asarray(kraus2, dtype=complex)
+    k = (k1[:, None, :, None, :, None] * k2[None, :, None, :, None, :]).reshape(-1, 4, 4)
+    return np.add.reduce(k @ rho0 @ k.conj().transpose(0, 2, 1), axis=0, initial=0j)
 
 
 def concurrence(rho) -> ConcurrenceResult:

@@ -115,6 +115,7 @@ def test_evolve_flip_axis_component_constant_and_deterministic():
 
 
 def test_kraus_flip_limits():
+    assert kraus_flip(Z, 1.0, 0.0).shape == (2, 2, 2)
     k1, k2 = kraus_flip(Z, 1.0, 0.0)
     assert np.array_equal(k1, np.eye(2, dtype=complex))
     assert np.array_equal(k2, np.zeros((2, 2), dtype=complex))

@@ -11,7 +11,7 @@ from qsde.choi import (
     kraus_of_coupling,
 )
 from qsde.errors import NotPSD
-from qsde.linalg import IDENTITY_2, herm_eig, psd_spectrum
+from qsde.linalg import IDENTITY_2, herm_eig, psd_factor, psd_spectrum
 
 from helpers import (
     apply_channel,
@@ -36,7 +36,7 @@ def test_identity_channel_choi_spectrum():
 
 def test_identity_channel_single_kraus():
     kraus, _ = kraus_of_choi(choi_of_channel(family_appc(-math.pi / 4), 0.0))
-    assert len(kraus) == 1
+    assert kraus.shape == (1, 2, 2)
     # proportional to the identity up to a global phase
     k = kraus[0] / kraus[0][0, 0]
     assert np.allclose(k, IDENTITY_2, atol=1e-12)
@@ -136,7 +136,7 @@ def test_kraus_of_choi_rejects_non_psd():
 def test_kraus_of_coupling_uses_two_operators_for_flips():
     c = Coupling(u=np.array([0.0, 1.0, 0.0]), v=np.zeros(3))
     kraus = kraus_of_coupling(c, 0.5)
-    assert len(kraus) == 2
+    assert kraus.shape == (2, 2, 2)
     assert completeness_residual(kraus) <= 1e-12
 
 
@@ -168,22 +168,26 @@ def test_choi_dust_is_clipped_with_one_warning(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "clipping negative Choi eigenvalue -1.000e-10 to zero"
     ]
-    assert len(kraus) == 3
+    assert kraus.shape == (3, 2, 2)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kraus_of_choi_keeps_exactly_the_unsnapped_columns(seed):
     # a kept operator is sqrt(eigenvalue) times a unit vector with eigenvalue
     # >= 64 eps lam_max >= 32 eps (the trace is 2), so its max-abs is at least
-    # sqrt(32 eps) / 2; every other column is exactly zero and dropped
+    # sqrt(32 eps) / 2; every other column is exactly zero and dropped. The
+    # stack holds the kept columns of S un-stacked, K_i[a, b] = S[a + 2 b, i].
     rng = np.random.default_rng(1700 + seed)
     couplings = [random_coupling(rng) for _ in range(5)] + [family_appc(-math.pi / 4)]
     for c in couplings:
         for t in (0.0, 1e-3, 0.3, 3.0, 1e3):
             choi = choi_of_channel(c, t)
             kraus, _ = kraus_of_choi(choi)
-            spectrum = psd_spectrum(herm_eig(choi)[0])
-            assert len(kraus) == np.count_nonzero(spectrum > 0.0)
+            values, vectors = herm_eig(choi)
+            s = psd_factor(values, vectors)
+            rank = np.count_nonzero(psd_spectrum(values) > 0.0)
+            assert kraus.shape == (rank, 2, 2)
+            assert_same_bits(kraus, np.array([s[:, i].reshape(2, 2, order="F") for i in range(rank)]))
             assert min(float(np.max(np.abs(k))) for k in kraus) >= math.sqrt(32.0 * np.finfo(float).eps) / 2.0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsde.channel import Dissipative, classify, family_appc, kraus_flip
-from qsde.choi import kraus_of_choi
+from qsde.choi import kraus_of_choi, kraus_of_coupling
 from qsde.pair import (
     concurrence,
     default_grid,
@@ -20,11 +20,15 @@ from qsde.errors import InvalidInput
 from qsde.linalg import IDENTITY_2, dot_sigma
 
 from helpers import (
+    AMPLITUDE_DAMPING,
     assert_same_bits,
     branch_cases,
     choi_six_evolves,
+    evolve_pair_loop,
     pure_concurrence,
     random_coupling,
+    random_dissipative_coupling,
+    random_flip_coupling,
     random_hs_state,
     random_pure_pair,
     random_unitary2,
@@ -36,9 +40,38 @@ BELL_PHI_PLUS = initial_state("plus", 0.5)
 
 
 def test_evolve_pair_identity_channels():
+    # plain lists of 2x2 operators are Kraus sets too
     rho = initial_state("plus", 0.3)
     out = evolve_pair(rho, [IDENTITY_2], [IDENTITY_2])
     assert np.allclose(out, rho, atol=1e-15)
+    assert_same_bits(out, evolve_pair_loop(rho, [IDENTITY_2], [IDENTITY_2]))
+    flips = list(kraus_flip(Z_AXIS, 1.0, 0.3))
+    assert_same_bits(evolve_pair(rho, [IDENTITY_2], flips), evolve_pair_loop(rho, [IDENTITY_2], flips))
+
+
+def _kraus_size_cases():
+    """(name, c1, c2, t, sizes): Kraus sets of 1 (t = 0), 2 (flip, amplitude damping) and 4 operators."""
+    rng = np.random.default_rng(2700)
+    flip, dis = random_flip_coupling(rng, 1.3), random_dissipative_coupling(rng, 0.8)
+    return [
+        ("t-zero", dis, flip, 0.0, (1, 2)),
+        ("flip-and-generic", flip, dis, 0.45, (2, 4)),
+        ("amplitude-damping-and-flip", AMPLITUDE_DAMPING, flip, 0.7, (2, 2)),
+        ("generic", dis, random_dissipative_coupling(rng, 1.7), 1.3, (4, 4)),
+        ("same", dis, dis, 0.2, (4, 4)),
+    ]
+
+
+@pytest.mark.parametrize("name, c1, c2, t, sizes", _kraus_size_cases(),
+                         ids=[case[0] for case in _kraus_size_cases()])
+def test_evolve_pair_and_state_at_are_the_double_loop_bit_for_bit(name, c1, c2, t, sizes):
+    # one batched product over the (r1 r2, 4, 4) stack, against a term-by-term loop
+    rho0 = random_hs_state(np.random.default_rng(2701))
+    k1, k2 = kraus_of_coupling(c1, t), kraus_of_coupling(c2, t)
+    assert (k1.shape, k2.shape) == ((sizes[0], 2, 2), (sizes[1], 2, 2))
+    expected = evolve_pair_loop(rho0, k1, k2)
+    assert_same_bits(evolve_pair(rho0, k1, k2), expected)
+    assert_same_bits(state_at(rho0, c1, c2, t), expected)
 
 
 def test_double_dephasing_scales_bell_coherence():
@@ -51,8 +84,6 @@ def test_double_dephasing_scales_bell_coherence():
 
 
 def test_double_dissipative_reaches_product_state():
-    from qsde.choi import kraus_of_coupling
-
     c1 = family_appc(-math.pi / 4)
     c2 = family_appc(1.9)
     t = 25.0
@@ -71,8 +102,6 @@ def test_double_dissipative_reaches_product_state():
 @pytest.mark.parametrize("seed", range(5))
 def test_trajectory_preserves_density_invariants(seed):
     rng = np.random.default_rng(800 + seed)
-    from qsde.choi import kraus_of_coupling
-
     c1, c2 = random_coupling(rng), random_coupling(rng)
     rho, _ = random_pure_pair(rng)
     for t in (0.0, 0.4, 1.5, 6.0):

@@ -217,13 +217,21 @@ def test_detect_tau_none_for_double_dephasing_bell():
     assert detect_tau(*mu_scan(rho, c, c, np.linspace(0.0, 10.0, 101)), lambda_inf=0.0) is None
 
 
-def test_detect_tau_amplitude_damping_matches_closed_form():
+@pytest.mark.parametrize("cut", [False, True], ids=["whole-scan", "cut-after-first-witness"])
+def test_detect_tau_amplitude_damping_matches_closed_form(cut):
     # plus state with alpha^2 = 0.8 under double amplitude damping crosses
-    # at t = ln(2) / 4
+    # at t = ln(2) / 4; a scan that stops at its first witness gives the same
+    # tau, bit for bit, as detect_tau reads no mu past it
     rho = initial_state("plus", 0.8)
     c = family_appc(-math.pi / 4)
-    tau = detect_tau(*mu_scan(rho, c, c, np.linspace(0.0, 10.0, 401)), lambda_inf=0.0)
+    times, mu, det_of_t = mu_scan(rho, c, c, np.linspace(0.0, 10.0, 401))
+    whole = detect_tau(times, mu, det_of_t, lambda_inf=0.0)
+    if cut:
+        mu = mu[:int(np.argmax(np.array(mu) >= RELATIVE_SPECTRAL_ZERO)) + 1]
+        assert 1 < len(mu) < len(times)
+    tau = detect_tau(times, mu, det_of_t, lambda_inf=0.0)
     assert tau is not None
+    assert tau.hex() == whole.hex()
     assert abs(tau - LN2_OVER_4) <= 1e-6
     assert abs(lambda_at(rho, c, c, tau)) <= 1e-6
 
