@@ -171,6 +171,7 @@ def evolve_flip(r0, u_hat, gamma: float, t: float) -> np.ndarray:
     r(t) = exp(-4 gamma t) r0 + (1 - exp(-4 gamma t)) (r0 . u_hat) u_hat:
     the u_hat component is conserved, the rest decays at rate 4 gamma.
     """
+    t = float(t)  # a Python float overflows to inf without a numpy warning
     r0 = np.asarray(r0, dtype=float)
     u_hat = np.asarray(u_hat, dtype=float)
     parallel = (r0 @ u_hat)[..., None] * u_hat
@@ -182,7 +183,7 @@ def kraus_flip(u_hat, gamma: float, t: float) -> np.ndarray:
 
     K1 = sqrt(p) 1, K2 = sqrt(1 - p) (u_hat . sigma), p = (1 + e^{-4 gamma t}) / 2.
     """
-    p = 0.5 * (1.0 + math.exp(-4.0 * gamma * t))
+    p = 0.5 * (1.0 + math.exp(-4.0 * gamma * float(t)))
     return np.stack([
         math.sqrt(p) * IDENTITY_2,
         math.sqrt(1.0 - p) * dot_sigma(u_hat),
@@ -200,6 +201,7 @@ def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarr
     limit (standard amplitude damping) is taken analytically. The time's
     exponentials are taken once, however many rows r0 has.
     """
+    t = float(t)  # a Python float overflows to inf without a numpy warning
     r0 = np.asarray(r0, dtype=float)
     u, v, w = dis.u, dis.v, dis.w
     wn2 = float(w @ w)
@@ -211,11 +213,12 @@ def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarr
     # e^{-2 g t} cosh(4 g q t) and e^{-2 g t} sinh(4 g q t)/q written via
     # e^{-2 g (1 +- 2 q) t}; q < 1/2 keeps every exponent negative. expm1
     # preserves the small-q*t regime; past its overflow threshold the
-    # smaller exponential has underflowed and plain subtraction is exact.
+    # smaller exponential has underflowed and plain subtraction is exact. At
+    # q == 0, s = 4 g t ep is 0 once ep underflows, where 4 g t may be inf.
     arg = 8.0 * gamma * q * t
     ep = math.exp(-2.0 * gamma * (1.0 + 2.0 * q) * t)
     if q == 0.0:
-        s = 4.0 * gamma * t * ep
+        s = 4.0 * gamma * t * ep if ep else 0.0
     elif arg <= 700.0:
         s = ep * math.expm1(arg) / (2.0 * q)
     else:

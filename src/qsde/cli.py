@@ -281,11 +281,14 @@ def _json(payload: dict) -> str:
 # Geodesic sphere mesh for the Bloch-ball export
 
 
-def geodesic_sphere(subdivisions: int = 3) -> np.ndarray:
-    """Unit-sphere mesh from repeated icosahedron subdivision.
+# Three subdivisions of the icosahedron: bloch-export's 642-vertex mesh, which its pinned output fixes
+MESH_SUBDIVISIONS = 3
 
-    Level 3 gives the fixed 642-vertex mesh used by bloch-export. Vertex
-    order is deterministic.
+
+def geodesic_sphere() -> np.ndarray:
+    """Unit-sphere mesh of bloch-export: the icosahedron subdivided MESH_SUBDIVISIONS times.
+
+    The 642 vertices come in a deterministic order.
     """
     t = (1.0 + math.sqrt(5.0)) / 2.0
     raw = [
@@ -300,7 +303,7 @@ def geodesic_sphere(subdivisions: int = 3) -> np.ndarray:
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
-    for _ in range(subdivisions):
+    for _ in range(MESH_SUBDIVISIONS):
         cache: dict[tuple[int, int], int] = {}
 
         def midpoint(i: int, j: int) -> int:

@@ -43,11 +43,16 @@ from .pair import concurrence, lambda_at, lambda_trajectory  # noqa: F401
 # products with no square root, so its rounding error is about eps * |rho0| ~
 # 1e-16: an exact zero reads four orders of magnitude below this bound.
 ZERO_DIAGONAL_TOL = 1e-12
-# A long-time limit lambda_inf below -CROSSING_FLOOR guarantees a crossing, so
-# a scan that finds none raises GridTooCoarse; a limit at or above it, such as
-# the exact 0 on the amplitude-damping surface, guarantees nothing. The floor
-# sits above the ~1e-12 rounding of the closed forms for lambda_inf.
-CROSSING_FLOOR = 1e-9
+# A long-time limit lambda_inf below -CROSSING_FLOOR guarantees a witness, so a
+# scan that finds none raises GridTooCoarse; a limit at or above it, such as the
+# exact 0 on the amplitude-damping surface, guarantees nothing. A witness needs
+# mu >= RELATIVE_SPECTRAL_ZERO, and the limit obeys mu_inf >= lambda_inf**2 / 4
+# on both routes: a product limit has mu_inf = (1 - |a1|)(1 - |a2|) / 4 and
+# lambda_inf**2 = (1 - a1**2)(1 - a2**2) / 4, a flip limit mu_inf = min d and
+# lambda_inf**2 = 4 min(d++ d--, d+- d-+). So lambda_inf < -2 sqrt(floor) puts
+# mu_inf above the witness floor; a limit in between, such as -2e-8 at
+# appc:-pi/4 + 1e-4, can leave mu under the floor (there ~1e-16) on any grid.
+CROSSING_FLOOR = 2.0 * math.sqrt(RELATIVE_SPECTRAL_ZERO)
 TAU_TOL = 1e-9
 
 METHOD_FLIP = "flip-criterion"
@@ -130,8 +135,9 @@ def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | 
     lower end. Bisection on the sign of det_of_t(mid) narrows the bracket
     to TAU_TOL, or until mid is no double strictly inside it, as happens
     past t = 2**23. With no witness, returns None, or raises GridTooCoarse
-    if lambda_inf (when given) is below -CROSSING_FLOOR and so guarantees a
-    crossing past the grid.
+    if lambda_inf (when given) is below -CROSSING_FLOOR = -2 sqrt(floor):
+    mu tends to at least lambda_inf**2 / 4, above floor, so a witness lies
+    past the grid.
     """
     floor = RELATIVE_SPECTRAL_ZERO  # the partial transpose of a state has spectrum in [-1/2, 1]
     if not mu[0] < -floor:

@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import pathlib
+import types
+
 import numpy as np
 
 from qsde.census import CensusReport, _chart, count_hits
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho, evolve, family_appc
 from qsde.linalg import IDENTITY_2, dot_sigma
 from qsde.pair import check_grid, pt_det, pt_min, state_at
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str) -> types.ModuleType:
+    """perfbench/<name>.py read as text and executed into a fresh module, so no bytecode is written beside it.
+
+    The benchmark's modules import only the standard library and numpy, so each loads alone.
+    """
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def uv_from_draws(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,7 +82,8 @@ def branch_cases() -> list[tuple[str, Coupling, Coupling, float]]:
     """(name, c1, c2, t): both regimes, and each branch of evolve_dissipative, for bit-identity tests.
 
     The "late" case has 8 gamma q t > 700, where expm1 would overflow; in
-    "same" c2 is c1, so state_at builds one Kraus set for both qubits.
+    "q-zero-overflow" 4 gamma t is inf while e^{-2 gamma t} is 0; in "same"
+    c2 is c1, so state_at builds one Kraus set for both qubits.
     """
     rng = np.random.default_rng(1919)
     flip, dis = random_flip_coupling(rng, 1.3), random_dissipative_coupling(rng, 0.7)
@@ -74,6 +93,7 @@ def branch_cases() -> list[tuple[str, Coupling, Coupling, float]]:
         ("dissipative", dis, appc, 0.37),
         ("mixed", flip, dis, 1.1),
         ("q-zero", AMPLITUDE_DAMPING, dis, 0.8),
+        ("q-zero-overflow", Coupling(AMPLITUDE_DAMPING.u, AMPLITUDE_DAMPING.v, gamma=1e300), dis, 1e10),
         ("late", appc, dis, 300.0),
         ("t-zero", dis, flip, 0.0),
         ("same", appc, appc, 0.52),

@@ -21,7 +21,7 @@ from qsde.channel import Coupling, bloch_to_rho, evolve, family_appc
 from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
-from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory, pt_min, state_at
+from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory, pt_det, pt_min, state_at
 from qsde.sde import detect_tau, predict_dissipative, predict_flip
 
 from helpers import (
@@ -138,7 +138,7 @@ def test_c04_parallel_state_amplitude_damping():
         rho = initial_state("plus", alpha_sq)
         lams, mus = _lam_and_mu(rho, AD, AD, GRID)
         tau = detect_tau(
-            GRID, mus, lambda t: pt_min(state_at(rho, AD, AD, t)), lambda_inf=0.0
+            GRID, mus, lambda t: pt_det(state_at(rho, AD, AD, t)), lambda_inf=0.0
         )
         results[alpha_sq] = (lams, tau)
     elapsed = time.perf_counter() - start
@@ -191,7 +191,7 @@ def test_c05_antiparallel_states():
             rho = initial_state("minus", alpha_sq)
             lams[(label, alpha_sq)], mus = _lam_and_mu(rho, c, c, GRID)
             taus[(label, alpha_sq)] = detect_tau(
-                GRID, mus, lambda t: pt_min(state_at(rho, c, c, t)), lambda_inf=None
+                GRID, mus, lambda t: pt_det(state_at(rho, c, c, t)), lambda_inf=None
             )
     identical = max(
         abs(a - b) for a, b in zip(lams[("ad", 0.2)], lams[("ad", 0.8)])

@@ -1,25 +1,12 @@
-"""The traced benchmark wraps qsde functions by name; a rename must fail here first.
-
-``perfbench/tracing.py`` is read as text and executed into a fresh module,
-so no bytecode is written next to the benchmark.
-"""
+"""The traced benchmark wraps qsde functions by name; a rename must fail here first."""
 
 import importlib
-import pathlib
-import types
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from helpers import load_perfbench
 
-
-def _load_tracing():
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
-    return module
-
-
-tracing = _load_tracing()
+tracing = load_perfbench("tracing")
 MODULES = {
     name: importlib.import_module(f"qsde.{name}")
     for name in ("channel", "choi", "pair", "sde", "census", "cli")

@@ -111,6 +111,11 @@ def test_streamed_census_equals_the_one_shot_reference(n, seed):
     assert run_census(n, seed).to_dict() == census_one_shot(n, seed)
 
 
+def test_census_at_two_million_equals_the_one_shot_reference():
+    # ~120 chunks streamed, against one draw of every sample at once (~310 MB peak)
+    assert run_census(2_000_000, 11).to_dict() == census_one_shot(2_000_000, 11)
+
+
 def test_census_prefix_crosses_chunk_boundaries():
     # each run is a prefix of the longest: its report is that prefix's, exactly
     n_max = _FIRST_ROWS + 2 * CHUNK_ROWS + 3

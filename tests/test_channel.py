@@ -318,6 +318,8 @@ def test_branch_cases_reach_every_branch():
     assert isinstance(classify(cases["flip"][0]), Flip) and isinstance(classify(cases["flip"][1]), Flip)
     assert isinstance(classify(cases["dissipative"][0]), Dissipative)
     assert classify(cases["q-zero"][0]).q == 0.0
+    c, _, t = cases["q-zero-overflow"]
+    assert classify(c).q == 0.0 and 4.0 * c.gamma * t == math.inf
     c, _, t = cases["late"]
     assert 8.0 * c.gamma * classify(c).q * t > 700.0
     assert cases["t-zero"][2] == 0.0

@@ -14,6 +14,8 @@ from qsde.channel import family
 from qsde.cli import MAX_GRID_POINTS, _grid, geodesic_sphere, main
 from qsde.errors import InvalidInput
 
+from helpers import PERFBENCH
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -190,6 +192,23 @@ def test_sde_check_json_fields(capsys):
     assert payload["tau"] is not None
 
 
+@pytest.mark.parametrize(
+    "theta, state, crosses",
+    [("-0.0001", "plus:0.5", True), ("-0.7852981633974483", "plus:0.4", False)],
+    ids=["near-flip", "near-amplitude-damping"],
+)
+def test_sde_check_near_an_exempt_surface_predicts_yes(capsys, theta, state, crosses):
+    # near the flip surface (|w| = 1e-4) the crossing is found on the default
+    # grid; near amplitude damping lambda_inf = -2.0e-8 lies above
+    # -CROSSING_FLOOR, so no witness is promised and none is found
+    argv = ["sde-check", "--coupling1", f"appc:{theta}", "--coupling2", f"appc:{theta}", "--state", state]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(stdout)
+    assert payload["predicted"] == "yes"
+    assert (payload["tau"] is not None) == crosses
+
+
 def test_sde_check_separable_state_is_numerical_failure(capsys):
     code, _, err = run_cli(
         [
@@ -260,9 +279,7 @@ def test_census_json_and_determinism(capsys):
 
 
 def test_census_requires_positive_n(capsys):
-    code, _, err = run_cli(["census", "--n", "0"], capsys)
-    assert code == 2
-    assert "n" in err
+    assert run_cli(["census", "--n", "0"], capsys) == (2, "", "error: n: n must be >= 1\n")
 
 
 def test_census_overflowing_integer_is_config_error(tmp_path, capsys):
@@ -376,7 +393,7 @@ def test_integer_text_is_read_exactly(capsys, text, seed):
     assert stdout == run_cli(["census", "--n", "10", "--seed", str(seed)], capsys)[1]
 
 
-@pytest.mark.parametrize("text", ["1e-999999999", "1e400", "1e999999999", "2.5e-1"])
+@pytest.mark.parametrize("text", ["1e-999999999", "1e400", "1e999999999", "2.5e-1", "1.5"])
 def test_integer_text_that_is_no_integer_in_range_is_config_error(capsys, text):
     # a huge exponent is refused at once, never expanded into its digits
     code, stdout, err = run_cli(["census", "--n", "10", "--seed", text], capsys)
@@ -437,6 +454,32 @@ def test_evolve_json_records(capsys):
     assert payload["records"][0]["r"] == [1.0, 0.0, 0.0]
     assert abs(payload["records"][1]["r"][0] - math.exp(-1.2)) <= 1e-12
     assert payload["asymptote"] == [0.0, 0.0, 0.0]
+
+
+AD_UV = "uv:0.7071067811865476,0,0;0,0.7071067811865476,0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--coupling", AD_UV, "--times", "0,1e10", "--r0", "1,0,0"],
+        ["trajectory", "--coupling1", AD_UV, "--coupling2", AD_UV, "--state", "plus:0.5", "--grid", "0:1e10:3"],
+    ],
+    ids=["evolve", "trajectory"],
+)
+def test_amplitude_damping_at_an_overflowing_gamma_t_reaches_its_fixed_point(capsys, argv):
+    # q == 0 exactly: 4 gamma t overflows to inf where e^{-2 gamma t} is 0, and
+    # their product printed NaN; a numpy float t also warned of the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli([*argv, "--gamma", "1e300"], capsys)
+    assert (code, err) == (0, "")
+    if argv[0] == "evolve":
+        payload = json.loads(stdout, parse_constant=lambda constant: pytest.fail(f"{constant} is not JSON"))
+        assert payload["records"][-1]["r"] == payload["asymptote"] == [0.0, 0.0, 1.0000000000000002]
+    else:
+        rows = [[float(x) for x in line.split(",")] for line in stdout.splitlines()[1:]]
+        assert [row[1] for row in rows[1:]] == [0.0, 0.0]
 
 
 def test_evolve_rejects_unphysical_r0(capsys):
@@ -637,8 +680,7 @@ def test_choi_decomposes_its_choi_matrix_once(monkeypatch, capsys):
     code, stdout, _ = run_cli(["choi", "--coupling", "appc:0.5", "--t", "0.3"], capsys)
     assert (code, len(calls)) == (0, 1)
     # the cli-mix benchmark's capture of this command line, byte for byte
-    reference = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "choi.out"
-    assert stdout == reference.read_text(encoding="utf-8")
+    assert stdout == (PERFBENCH / "reference" / "choi.out").read_text(encoding="utf-8")
 
 
 def test_census_too_large_for_memory_is_a_one_line_error(capsys):

@@ -1,27 +1,12 @@
-"""Each command line of the cli-mix benchmark prints its captured stdout, byte for byte.
-
-``perfbench/climix.py`` is read as text and executed into a fresh module,
-so no bytecode is written next to the benchmark.
-"""
-
-import pathlib
-import types
+"""Each command line of the cli-mix benchmark prints its captured stdout, byte for byte."""
 
 import pytest
 
 from qsde.cli import main
 
-CLIMIX = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "climix.py"
+from helpers import load_perfbench
 
-
-def _load_climix():
-    module = types.ModuleType("perfbench_climix")
-    module.__file__ = str(CLIMIX)
-    exec(compile(CLIMIX.read_text(encoding="utf-8"), str(CLIMIX), "exec"), module.__dict__)
-    return module
-
-
-climix = _load_climix()
+climix = load_perfbench("climix")
 REFERENCE = climix.load_reference()
 
 

@@ -1,6 +1,4 @@
 import math
-import pathlib
-import types
 import warnings
 
 import numpy as np
@@ -10,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, Flip, classify, evolve, family_appc
 from qsde.pair import concurrence, initial_state, lambda_at, pt_det, pt_min, state_at
 from qsde.sde import (
+    CROSSING_FLOOR,
     TAU_TOL,
     detect_tau,
     predict_dissipative,
@@ -21,6 +20,7 @@ from qsde.linalg import RELATIVE_SPECTRAL_ZERO, dot_sigma
 
 from helpers import (
     axis_frame,
+    load_perfbench,
     mu_scan,
     oracle_rk4,
     random_bloch,
@@ -32,18 +32,8 @@ from helpers import (
     random_unit,
 )
 
-ORACLES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
-
-
-def _load_oracles():
-    """perfbench/oracles.py read as text into a fresh module, so no bytecode is written beside it."""
-    module = types.ModuleType("perfbench_oracles")
-    module.__file__ = str(ORACLES)
-    exec(compile(ORACLES.read_text(encoding="utf-8"), str(ORACLES), "exec"), module.__dict__)
-    return module
-
-
-oracles = _load_oracles()
+inputs = load_perfbench("inputs")
+oracles = load_perfbench("oracles")
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
@@ -263,6 +253,17 @@ def test_detect_tau_crossing_beyond_grid_raises():
         detect_tau([0.0, 0.5, 1.0], [-1.0, -0.8, -0.6], lambda t: 0.4 * t - 1.0, lambda_inf=-0.5)
 
 
+@pytest.mark.parametrize("end", [1e3, 1e5])
+def test_sde_check_near_amplitude_damping_raises_no_grid_too_coarse(end):
+    # theta = -pi/4 + 1e-4: lambda_inf = -2.0e-8 lies above -CROSSING_FLOOR, and mu
+    # tends to ~lambda_inf**2 / 4 = 1e-16, under the witness floor, so no grid
+    # holds a witness; under a floor of 1e-9 every grid raised GridTooCoarse
+    c = family_appc(-0.7852981633974483)
+    verdict = sde_check(initial_state("plus", 0.4), c, c, np.linspace(0.0, end, 401))
+    assert (verdict.predicted, verdict.tau) == ("yes", None)
+    assert -CROSSING_FLOOR < verdict.lambda_inf < -1e-9
+
+
 def test_detect_tau_requires_entangled_start():
     # -1e-14 lies inside the band of +-RELATIVE_SPECTRAL_ZERO, so it is no proof of entanglement
     for mu0, text in ((0.2, "2.000e-01"), (-1e-14, "-1.000e-14")):
@@ -419,6 +420,30 @@ def test_mixed_limit_is_the_oracles_lam_after_sixty_lifetimes(seed, flip_first):
     t = 60.0 / (2.0 * gamma * (1.0 - 2.0 * classify(dis).q))
     assert verdict.method == "numerical"
     assert abs(verdict.lambda_inf - oracles.lam_at(rho, c1.u, c1.v, c2.u, c2.v, gamma, t)) <= 1e-11
+
+
+def _slowest_rate(c: Coupling) -> float:
+    cls = classify(c)
+    return 4.0 * c.gamma if isinstance(cls, Flip) else 2.0 * c.gamma * (1.0 - 2.0 * cls.q)
+
+
+@pytest.mark.parametrize("kind", ["flip", "dissipative", "mixed"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mu_after_sixty_lifetimes_is_at_least_a_quarter_of_lambda_inf_squared(kind, seed):
+    # the bound behind CROSSING_FLOOR = 2 sqrt(RELATIVE_SPECTRAL_ZERO)
+    rng = np.random.default_rng(seed)
+    gamma = rng.uniform(0.5, 2.0)
+    rho = random_hs_state(rng)
+    draw1 = random_dissipative_coupling if kind == "dissipative" else random_flip_coupling
+    draw2 = random_flip_coupling if kind == "flip" else random_dissipative_coupling
+    c1, c2 = draw1(rng, gamma), draw2(rng, gamma)
+    if kind == "flip":
+        verdict = predict_flip(rho, classify(c1).u_hat, classify(c2).u_hat)
+    else:
+        verdict = predict_dissipative(rho, c1, c2)
+    t = 60.0 / min(_slowest_rate(c1), _slowest_rate(c2))
+    assert pt_min(state_at(rho, c1, c2, t)) >= verdict.lambda_inf**2 / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -606,3 +631,26 @@ def test_sde_check_rejects_a_nan_state_entry_by_name():
 def test_state_rule_accepts_dust_above_its_floor():
     verdict = sde_check(_bell_with_dust(5e-10), flip_coupling(Z), flip_coupling(Z))
     assert verdict.method == "flip-criterion"
+
+
+# ---------------------------------------------------------------------------
+# verdict-sweep inputs that a timed benchmark run may not reach
+
+
+def _verdict_input_couplings(inp: dict) -> tuple[Coupling, Coupling]:
+    return Coupling(inp["u1"], inp["v1"], inp["gamma"]), Coupling(inp["u2"], inp["v2"], inp["gamma"])
+
+
+def test_verdict_sweep_seed_5_index_103_passes_the_oracle():
+    # mu crosses zero flatly here: a bisection on its sign put tau 3.85e-6 late
+    inp = inputs.verdict_input(5, 103)
+    verdict = sde_check(inp["state"]["rho"], *_verdict_input_couplings(inp))
+    assert oracles.check_verdict(inp, verdict.to_dict()) == []
+
+
+@pytest.mark.parametrize("seed, index", [(407, 298), (401, 317)])
+def test_verdict_sweep_separable_werner_draws_are_refused(seed, index):
+    # the earliest separable Werner draws of the sweep's seeds
+    inp = inputs.verdict_input(seed, index)
+    with pytest.raises(NotEntangled):
+        sde_check(inp["state"]["rho"], *_verdict_input_couplings(inp))
