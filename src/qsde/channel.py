@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,15 +64,19 @@ def check_real(value, field: str) -> float:
     raise InvalidInput(field, f"expected a finite real number, got {value!r}")
 
 
+def _read_only(arr) -> np.ndarray:
+    arr = np.array(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _vector3(value, name: str) -> np.ndarray:
     arr = np.asarray(check_array(value, name, "iuf"), dtype=float)
     if arr.shape != (3,):
         raise InvalidInput(name, f"must be a real 3-vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(name, "must be finite")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,16 +118,10 @@ class Coupling:
         norm_w = float(np.linalg.norm(w))
         if norm_w <= FLIP_TOL:
             axis = u / norm_u if norm_u >= FLIP_TOL else v / norm_v
-            return Flip(u_hat=_vector3(axis, "u_hat"))
+            return Flip(u_hat=_read_only(axis))
         chi = 0.5 * (norm_u**2 - norm_v**2)
-        q = math.hypot(chi, float(u @ v))
-        return Dissipative(
-            u=u,
-            v=v,
-            w=_vector3(w, "w"),
-            chi=chi,
-            q=q,
-        )
+        return Dissipative(u=u, v=v, w=_read_only(w), chi=chi, q=math.hypot(chi, float(u @ v)),
+                           v_cross_w=_read_only(np.cross(v, w)), w_cross_u=_read_only(np.cross(w, u)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +136,8 @@ class Dissipative:
     """Dissipative coupling: u, v independent, with the derived frame data.
 
     w = u x v, chi = (|u|^2 - |v|^2) / 2 and q = sqrt(chi^2 + (u.v)^2)
-    control the transverse decay rates 2 gamma (1 -+ 2 q). v x w and w x u,
-    which project r onto u and v, are derived here once.
+    control the transverse decay rates 2 gamma (1 -+ 2 q). v x w and w x u
+    project r onto u and v. Coupling.regime builds the frame whole, once.
     """
 
     u: np.ndarray
@@ -147,12 +145,8 @@ class Dissipative:
     w: np.ndarray
     chi: float
     q: float
-    v_cross_w: np.ndarray = field(init=False)
-    w_cross_u: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "v_cross_w", np.cross(self.v, self.w))
-        object.__setattr__(self, "w_cross_u", np.cross(self.w, self.u))
+    v_cross_w: np.ndarray
+    w_cross_u: np.ndarray
 
 
 def classify(coupling: Coupling) -> Flip | Dissipative:

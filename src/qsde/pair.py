@@ -30,11 +30,10 @@ _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 
 @dataclass(frozen=True, eq=False)
 class ConcurrenceResult:
-    """Concurrence C = max(0, lam) plus the four spin-flip roots (descending)."""
+    """Concurrence C = max(0, lam) and lam = l_1 - l_2 - l_3 - l_4 over the spin-flip roots."""
 
     lam: float
     concurrence: float
-    roots: np.ndarray
 
 
 def initial_state(kind: str, alpha_sq: float) -> np.ndarray:
@@ -122,7 +121,7 @@ def concurrence(rho) -> ConcurrenceResult:
     similar = root @ flipped @ root
     roots = np.sqrt(psd_spectrum(herm_eig(0.5 * (similar + similar.conj().T))[0]))
     lam = float(roots[0] - roots[1] - roots[2] - roots[3])
-    return ConcurrenceResult(lam=lam, concurrence=max(0.0, lam), roots=roots)
+    return ConcurrenceResult(lam=lam, concurrence=max(0.0, lam))
 
 
 def state_at(rho0, c1: Coupling, c2: Coupling, t: float) -> np.ndarray:

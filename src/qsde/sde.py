@@ -123,23 +123,28 @@ def predict_dissipative(rho0, c1: Coupling, c2: Coupling) -> SdeVerdict:
     return SdeVerdict("yes" if covered else "not-covered", lam_inf, None, method)
 
 
-def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | None:
-    """The death time tau from mu = pair.pt_min at times, a grid that passes pair.check_grid.
+def detect_tau(grid, state_of_t, lambda_inf: float | None = None) -> float | None:
+    """The death time tau of the pair state state_of_t(t) on a grid that passes pair.check_grid.
 
-    With floor = RELATIVE_SPECTRAL_ZERO, the scan must start entangled,
-    mu[0] < -floor, or NotEntangled is raised. The first grid point with
+    With floor = RELATIVE_SPECTRAL_ZERO, mu = pt_min(state_of_t(t)) is
+    scanned at every grid point. The scan must start entangled,
+    mu(0) < -floor, or NotEntangled is raised. The first grid point with
     mu >= floor witnesses separability. As entanglement never revives, tau
     lies between it and the point before, unless that point's mu, in
     [0, floor), sat past the crossing already: the bracket steps back while
-    det_of_t, negative exactly while the pair is entangled, is >= 0 at its
-    lower end. Bisection on the sign of det_of_t(mid) narrows the bracket
-    to TAU_TOL, or until mid is no double strictly inside it, as happens
-    past t = 2**23. With no witness, returns None, or raises GridTooCoarse
-    if lambda_inf (when given) is below -CROSSING_FLOOR = -2 sqrt(floor):
-    mu tends to at least lambda_inf**2 / 4, above floor, so a witness lies
-    past the grid.
+    pt_det(state_of_t(t)), negative exactly while the pair is entangled, is
+    >= 0 at its lower end. Bisection on the sign of pt_det at mid narrows
+    the bracket to TAU_TOL, or until mid is no double strictly inside it,
+    as happens past t = 2**23. With no witness, returns None, or raises
+    GridTooCoarse if lambda_inf (when given) is below -CROSSING_FLOOR =
+    -2 sqrt(floor): mu tends to at least lambda_inf**2 / 4, above floor, so
+    a witness lies past the grid. With |lambda_inf| <= CROSSING_FLOOR, mu
+    can stay under floor after the crossing, and tau is None although a
+    crossing lies on the grid.
     """
     floor = RELATIVE_SPECTRAL_ZERO  # the partial transpose of a state has spectrum in [-1/2, 1]
+    times = check_grid(grid)
+    mu = [pt_min(state_of_t(t)) for t in times]
     if not mu[0] < -floor:
         raise NotEntangled(f"initial state is not entangled on the scan: mu(0) = {mu[0]:.3e}")
     witness = next((i for i, m in enumerate(mu) if m >= floor), None)
@@ -151,11 +156,11 @@ def detect_tau(times, mu, det_of_t, lambda_inf: float | None = None) -> float | 
             )
         return None
 
-    while witness > 1 and det_of_t(times[witness - 1]) >= 0.0:
+    while witness > 1 and pt_det(state_of_t(times[witness - 1])) >= 0.0:
         witness -= 1
     lo, hi = float(times[witness - 1]), float(times[witness])
     while hi - lo > TAU_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if det_of_t(mid) >= 0.0:
+        if pt_det(state_of_t(mid)) >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -171,11 +176,12 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     pair.pt_det, and tau is filled when a crossing lies on the grid (a
     "not-covered" verdict can still come with a finite tau). c1 and c2
     must be Couplings, else InvalidInput names them. rho0 is checked here,
-    once, by pair.check_state, and the grid by pair.check_grid; their
-    errors propagate. A rho0 whose
-    mu(0) = pt_min(rho0) is not below -RELATIVE_SPECTRAL_ZERO raises
-    NotEntangled before any scan; detect_tau applies the same test to the
-    scan's first point.
+    once, by pair.check_state, and the grid by pair.check_grid in
+    detect_tau; their errors propagate. A rho0 whose mu(0) = pt_min(rho0)
+    is not below -RELATIVE_SPECTRAL_ZERO raises NotEntangled before any
+    scan; detect_tau applies the same test to the scan's first point. tau
+    can be None although a crossing lies on the grid when |lambda_inf| <=
+    CROSSING_FLOOR and mu stays under the witness floor past it.
     """
     for field, c in (("c1", c1), ("c2", c2)):
         if not isinstance(c, Coupling):
@@ -194,9 +200,4 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     else:
         verdict = predict_dissipative(rho0, c1, c2)
 
-    def det_of_t(t):
-        return pt_det(state_at(rho0, c1, c2, t))
-
-    times = check_grid(grid)
-    mu = [pt_min(state_at(rho0, c1, c2, t)) for t in times]
-    return replace(verdict, tau=detect_tau(times, mu, det_of_t, verdict.lambda_inf))
+    return replace(verdict, tau=detect_tau(grid, lambda t: state_at(rho0, c1, c2, t), verdict.lambda_inf))

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pathlib
 import types
 
+import mpmath
 import numpy as np
 
 from qsde.census import CensusReport, _chart, count_hits
 from qsde.channel import AD_TOL, FLIP_TOL, Coupling, bloch_to_rho, evolve, family_appc
 from qsde.linalg import IDENTITY_2, dot_sigma
-from qsde.pair import check_grid, pt_det, pt_min, state_at
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,13 +41,46 @@ def census_one_shot(n: int, seed: int) -> dict:
     return CensusReport(n, n_flip, n_ad, FLIP_TOL, AD_TOL, min_ad, seed).to_dict()
 
 
-def mu_scan(rho0, c1: Coupling, c2: Coupling, grid) -> tuple:
-    """(times, mu, det_of_t) of sde_check's death-time scan, in detect_tau's argument order."""
-    def det_of_t(t):
-        return pt_det(state_at(rho0, c1, c2, t))
+def appc_x_state_tau(theta1: float, theta2: float, kind: str, alpha_sq: float, gamma: float, t_end: float):
+    """Death time of initial_state(kind, alpha_sq) under family_appc(theta1, gamma) (x) family_appc(theta2, gamma).
 
-    times = check_grid(grid)
-    return times, [pt_min(state_at(rho0, c1, c2, t)) for t in times], det_of_t
+    An appc:theta qubit's Bloch map is closed form: x decays at 4 gamma
+    sin^2 theta, y at 4 gamma cos^2 theta, and z relaxes at 4 gamma toward
+    sin 2 theta. So a plus or minus state stays an X state, whose partial
+    transpose splits into two 2x2 blocks, and it is entangled exactly while
+    min(rho22 rho33 - rho14^2, rho11 rho44 - rho23^2) < 0 (Yu & Eberly,
+    Quantum Inf. Comput. 7, 459 (2007)); entanglement never revives. The
+    crossing is bisected at 60 digits to 1e-20 and returned as an mpf, or
+    None when it lies past t_end.
+    """
+    with mpmath.workdps(60):
+        sign = 1 if kind == "plus" else -1
+        a, b = mpmath.sqrt(mpmath.mpf(alpha_sq)), mpmath.sqrt(1 - mpmath.mpf(alpha_sq))
+        # Pauli correlations of alpha |00> + beta |11> (plus) or alpha |01> + beta |10> (minus)
+        xx, yy, zz, z1, z2 = 2 * a * b, -sign * 2 * a * b, sign, a * a - b * b, sign * (a * a - b * b)
+        thetas = (mpmath.mpf(theta1), mpmath.mpf(theta2))
+        sin2 = [mpmath.sin(th) ** 2 for th in thetas]
+        pole = [mpmath.sin(2 * th) for th in thetas]
+
+        def entangled_block(t):
+            e = mpmath.exp(-4 * mpmath.mpf(gamma) * t)
+            shift1, shift2 = (1 - e) * pole[0], (1 - e) * pole[1]
+            xx_t = e ** (sin2[0] + sin2[1]) * xx
+            yy_t = e ** (2 - sin2[0] - sin2[1]) * yy
+            z1_t, z2_t = shift1 + e * z1, shift2 + e * z2
+            zz_t = shift1 * shift2 + e * (shift1 * z2 + shift2 * z1) + e * e * zz
+            # 16 times rho11 rho44 - rho23^2 and rho22 rho33 - rho14^2
+            outer = (1 + zz_t) ** 2 - (z1_t + z2_t) ** 2 - (xx_t + yy_t) ** 2
+            inner = (1 - zz_t) ** 2 - (z1_t - z2_t) ** 2 - (xx_t - yy_t) ** 2
+            return min(outer, inner)
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(t_end)
+        if entangled_block(hi) < 0:
+            return None
+        while hi - lo > mpmath.mpf("1e-20"):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if entangled_block(mid) < 0 else (lo, mid)
+        return hi
 
 
 def choi_six_evolves(coupling: Coupling, t: float) -> np.ndarray:

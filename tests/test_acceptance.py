@@ -21,14 +21,13 @@ from qsde.channel import Coupling, bloch_to_rho, evolve, family_appc
 from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
-from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory, pt_det, pt_min, state_at
-from qsde.sde import detect_tau, predict_dissipative, predict_flip
+from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory, state_at
+from qsde.sde import detect_tau, predict_dissipative, sde_check
 
 from helpers import (
     apply_channel,
     axis_frame,
     master_rhs,
-    mu_scan,
     oracle_rk4_batch,
     random_bloch,
     random_density2,
@@ -125,21 +124,13 @@ def test_c03_kraus_choi_round_trip():
     assert worst_completeness < 1e-9
 
 
-def _lam_and_mu(rho, c1, c2, grid):
-    """lam and mu at every grid point, from one evolved state per point."""
-    states = [state_at(rho, c1, c2, t) for t in grid]
-    return [concurrence(s).lam for s in states], [pt_min(s) for s in states]
-
-
 def test_c04_parallel_state_amplitude_damping():
     start = time.perf_counter()
     results = {}
     for alpha_sq in (0.2, 0.5, 0.8):
         rho = initial_state("plus", alpha_sq)
-        lams, mus = _lam_and_mu(rho, AD, AD, GRID)
-        tau = detect_tau(
-            GRID, mus, lambda t: pt_det(state_at(rho, AD, AD, t)), lambda_inf=0.0
-        )
+        lams = [lambda_at(rho, AD, AD, t) for t in GRID]
+        tau = detect_tau(GRID, lambda t: state_at(rho, AD, AD, t), lambda_inf=0.0)
         results[alpha_sq] = (lams, tau)
     elapsed = time.perf_counter() - start
 
@@ -189,10 +180,8 @@ def test_c05_antiparallel_states():
         c = family_appc(theta)
         for alpha_sq in (0.2, 0.5, 0.8):
             rho = initial_state("minus", alpha_sq)
-            lams[(label, alpha_sq)], mus = _lam_and_mu(rho, c, c, GRID)
-            taus[(label, alpha_sq)] = detect_tau(
-                GRID, mus, lambda t: pt_det(state_at(rho, c, c, t)), lambda_inf=None
-            )
+            lams[(label, alpha_sq)] = [lambda_at(rho, c, c, t) for t in GRID]
+            taus[(label, alpha_sq)] = detect_tau(GRID, lambda t: state_at(rho, c, c, t))
     identical = max(
         abs(a - b) for a, b in zip(lams[("ad", 0.2)], lams[("ad", 0.8)])
     )
@@ -230,9 +219,8 @@ def test_c06_flip_criterion_equivalence_200_cases():
             rho = big @ canonical @ big.conj().T
         c1 = Coupling(u=a1, v=np.zeros(3))
         c2 = Coupling(u=a2, v=np.zeros(3))
-        verdict = predict_flip(rho, a1, a2)
-        tau = detect_tau(*mu_scan(rho, c1, c2, grid), lambda_inf=verdict.lambda_inf)
-        if (tau is not None) != (verdict.predicted == "yes"):
+        verdict = sde_check(rho, c1, c2, grid)
+        if (verdict.tau is not None) != (verdict.predicted == "yes"):
             mismatches += 1
         n_yes += verdict.predicted == "yes"
     elapsed = time.perf_counter() - start
