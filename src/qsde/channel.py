@@ -120,8 +120,15 @@ class Coupling:
             axis = u / norm_u if norm_u >= FLIP_TOL else v / norm_v
             return Flip(u_hat=_read_only(axis))
         chi = 0.5 * (norm_u**2 - norm_v**2)
-        return Dissipative(u=u, v=v, w=_read_only(w), chi=chi, q=math.hypot(chi, float(u @ v)),
-                           v_cross_w=_read_only(np.cross(v, w)), w_cross_u=_read_only(np.cross(w, u)))
+        return Dissipative(
+            u=u,
+            v=v,
+            w=_read_only(w),
+            chi=chi,
+            q=math.hypot(chi, float(u @ v)),
+            v_cross_w=_read_only(np.cross(v, w)),
+            w_cross_u=_read_only(np.cross(w, u)),
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -171,17 +171,14 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     """Full sudden-death check for an entangled pair under two couplings.
 
     The verdict is predict_flip's when both couplings are flips and
-    predict_dissipative's otherwise, mixed pairs included. In every case
-    mu(t) is scanned on the grid, the crossing is bisected on the sign of
-    pair.pt_det, and tau is filled when a crossing lies on the grid (a
-    "not-covered" verdict can still come with a finite tau). c1 and c2
-    must be Couplings, else InvalidInput names them. rho0 is checked here,
-    once, by pair.check_state, and the grid by pair.check_grid in
-    detect_tau; their errors propagate. A rho0 whose mu(0) = pt_min(rho0)
-    is not below -RELATIVE_SPECTRAL_ZERO raises NotEntangled before any
-    scan; detect_tau applies the same test to the scan's first point. tau
-    can be None although a crossing lies on the grid when |lambda_inf| <=
-    CROSSING_FLOOR and mu stays under the witness floor past it.
+    predict_dissipative's otherwise, mixed pairs included. tau is
+    detect_tau's on the grid, whatever the verdict: a "not-covered" verdict
+    can come with a finite tau, and a "yes" with None (see detect_tau).
+    c1 and c2 must be Couplings, else InvalidInput names them. rho0 is
+    checked here, once, by pair.check_state, and the grid by
+    pair.check_grid in detect_tau; their errors propagate. A rho0 whose
+    mu(0) = pt_min(rho0) is not below -RELATIVE_SPECTRAL_ZERO raises
+    NotEntangled before any scan.
     """
     for field, c in (("c1", c1), ("c2", c2)):
         if not isinstance(c, Coupling):
@@ -200,4 +197,5 @@ def sde_check(rho0, c1: Coupling, c2: Coupling, grid=None) -> SdeVerdict:
     else:
         verdict = predict_dissipative(rho0, c1, c2)
 
-    return replace(verdict, tau=detect_tau(grid, lambda t: state_at(rho0, c1, c2, t), verdict.lambda_inf))
+    tau = detect_tau(grid, lambda t: state_at(rho0, c1, c2, t), verdict.lambda_inf)
+    return replace(verdict, tau=tau)

@@ -22,7 +22,7 @@ from qsde.choi import choi_of_channel, completeness_residual, kraus_of_choi
 from qsde.cli import main
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO
 from qsde.pair import concurrence, initial_state, lambda_at, lambda_trajectory, state_at
-from qsde.sde import detect_tau, predict_dissipative, sde_check
+from qsde.sde import METHOD_FLIP, detect_tau, predict_dissipative, sde_check
 
 from helpers import (
     apply_channel,
@@ -220,7 +220,9 @@ def test_c06_flip_criterion_equivalence_200_cases():
         c1 = Coupling(u=a1, v=np.zeros(3))
         c2 = Coupling(u=a2, v=np.zeros(3))
         verdict = sde_check(rho, c1, c2, grid)
-        if (verdict.tau is not None) != (verdict.predicted == "yes"):
+        # a verdict from another route is a mismatch too
+        wrong_route = verdict.method != METHOD_FLIP
+        if wrong_route or (verdict.tau is not None) != (verdict.predicted == "yes"):
             mismatches += 1
         n_yes += verdict.predicted == "yes"
     elapsed = time.perf_counter() - start

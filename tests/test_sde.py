@@ -339,11 +339,11 @@ def test_detect_tau_requires_entangled_start():
 
 
 def test_detect_tau_brackets_the_first_witness_with_the_point_before():
-    # -5e-15 and -1e-300 lie inside the floor's band, so the first witness is
-    # t = 0.5; the determinant is negative at 0.4, so the bracket is
-    # [0.4, 0.5]. Off the grid the entry is t - 0.45
+    # 5e-15 is positive but under the floor, and -1e-300 inside the floor's
+    # band, so the first witness is t = 0.5; the determinant is negative at
+    # 0.4, so the bracket is [0.4, 0.5]. Off the grid the entry is t - 0.45
     times = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
-    on_grid = dict(zip(times, [-0.5, -0.3, -0.2, -5e-15, -1e-300, 0.2]))
+    on_grid = dict(zip(times, [-0.5, -0.3, -0.2, 5e-15, -1e-300, 0.2]))
     calls = []
 
     def state_of_t(t):
