@@ -31,6 +31,8 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import IDENTITY_2, dot_sigma
 
+# Off by delta, the amplitude-damping fixed point 2 w lies delta outside the Bloch
+# ball: a Choi eigenvalue of -delta / 2, 2e4 times inside linalg.PSD_ABORT_TOL.
 NORMALIZATION_TOL = 1e-12
 # Below this |u x v| the dissipative formulas divide by ~0 and lose all
 # precision, so the coupling is treated as flip.

@@ -16,18 +16,10 @@ channel action, not operator lists.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .channel import Coupling, Dissipative, bloch_to_rho, classify, evolve, kraus_flip
 from .linalg import IDENTITY_2, herm_eig, psd_factor
-
-logger = logging.getLogger(__name__)
-
-# Negative eigenvalue dust in this band is clipped with a warning; anything
-# below it is rejected as genuinely non-PSD.
-CHOI_DUST_WARN = -1e-12
 
 
 # The six axial Bloch states whose images span the operator basis, in the
@@ -59,15 +51,11 @@ def kraus_of_choi(choi) -> tuple[np.ndarray, np.ndarray]:
     Columns of the PSD factor S (S S^dag = choi) are un-stacked into 2x2
     operators, K_i[a, b] = S[a + 2 b, i]; one mask drops the zero columns,
     of eigenvalues the PSD rule snapped to zero, so r is the rank the rule
-    leaves. One eigendecomposition serves the dust warning, the factor and
-    the returned spectrum. Raises NotPSD (via the factorization) when the
-    matrix is not PSD beyond dust level.
+    leaves. One eigendecomposition serves the factor and the returned
+    spectrum. Raises NotPSD (via the factorization) when the matrix is not
+    PSD beyond dust level; dust is clipped silently.
     """
     values, vectors = herm_eig(choi)
-    if values[-1] < CHOI_DUST_WARN:
-        logger.warning(
-            "clipping negative Choi eigenvalue %.3e to zero", float(values[-1])
-        )
     s = psd_factor(values, vectors)
     # A column is sqrt(snapped eigenvalue) times a unit vector: zero exactly when the
     # PSD rule snapped it, else of max-abs >= sqrt(64 eps lam_max) / 2 ~ 4.2e-8, since

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import math
 import os
 import sys
@@ -331,6 +330,7 @@ def cmd_evolve(cfg: dict) -> str:
     gamma = _gamma_of(cfg)
     coupling = _coupling(cfg.get("coupling"), "coupling", gamma)
     r0 = _get(cfg, "r0", _vec3, (0.0, 0.0, 1.0))
+    # keeps the eigenvalues (1 -+ |r0|) / 2 above -5e-10, within the state rule's -1e-9
     if float(np.linalg.norm(r0)) > 1.0 + 1e-9:
         raise InvalidInput("r0", "initial Bloch vector must satisfy |r0| <= 1")
     if cfg.get("times") is not None:
@@ -485,7 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -13,6 +13,10 @@ from .errors import NotPSD
 
 # Eigenvalues of a nominally PSD matrix below this bound are a hard error;
 # anything in [PSD_ABORT_TOL, 0) is numerical dust and gets clipped to zero.
+# Accepted input leaves dust above -3e-9: a state has at most three eigenvalues
+# below 0, each above pair.STATE_EIGENVALUE_FLOOR, and neither a channel nor
+# concurrence's similar matrix goes below their sum; a Choi matrix's dust is
+# above -channel.NORMALIZATION_TOL / 2.
 PSD_ABORT_TOL = -1e-8
 # Relative spectral floor: eigenvalues below this fraction of the largest
 # one are indistinguishable from the eigensolver's own noise, and square
@@ -70,10 +74,3 @@ def psd_factor(values, vectors) -> np.ndarray:
     nonzero columns.
     """
     return vectors * np.sqrt(psd_spectrum(values))
-
-
-def sqrt_psd(m) -> np.ndarray:
-    """Hermitian square root of a PSD matrix: result @ result == m."""
-    values, vectors = herm_eig(m)
-    return psd_factor(values, vectors) @ vectors.conj().T
-

@@ -14,8 +14,11 @@ import numpy as np
 from .channel import Coupling, check_array, check_real
 from .choi import kraus_of_coupling
 from .errors import InvalidInput
-from .linalg import SIGMA_Y, herm_eig, psd_spectrum, sqrt_psd
+from .linalg import SIGMA_Y, herm_eig, psd_factor, psd_spectrum
 
+# A trace of 1 + delta scales the state, and eigh reads one triangle: at 1e-10
+# each left tau's bits over 40 random draws and moved lambda_inf by at most
+# 7.3e-11, under lam's resolution of ~1.2e-7 (see concurrence).
 HERMITIAN_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 # A state eigenvalue below this is an input error. It is stricter than
@@ -116,7 +119,8 @@ def concurrence(rho) -> ConcurrenceResult:
     4.8e-8), so the death-time scan reads the sign of pt_min instead.
     """
     rho = np.asarray(rho, dtype=complex)
-    root = sqrt_psd(rho)
+    values, vectors = herm_eig(rho)
+    root = psd_factor(values, vectors) @ vectors.conj().T
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     similar = root @ flipped @ root
     roots = np.sqrt(psd_spectrum(herm_eig(0.5 * (similar + similar.conj().T))[0]))

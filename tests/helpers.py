@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pathlib
 import types
 
@@ -52,6 +53,12 @@ def appc_x_state_tau(theta1: float, theta2: float, kind: str, alpha_sq: float, g
     Quantum Inf. Comput. 7, 459 (2007)); entanglement never revives. The
     crossing is bisected at 60 digits to 1e-20 and returned as an mpf, or
     None when it lies past t_end.
+
+    The end test is sound only while exp(-4 gamma t_end) stays far above
+    1e-60: past that the Pauli correlations cancel at 60 digits, and
+    (-pi/4, -pi/4, "plus", 0.7, 1.0, t_end) returns None for t_end = 40,
+    though its crossing is at 0.266. Callers pass t_end = 10 / gamma;
+    PairOracle scales its digits with the horizon instead.
     """
     with mpmath.workdps(60):
         sign = 1 if kind == "plus" else -1
@@ -81,6 +88,129 @@ def appc_x_state_tau(theta1: float, theta2: float, kind: str, alpha_sq: float, g
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if entangled_block(mid) < 0 else (lo, mid)
         return hi
+
+
+_PAULI = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+# the nonzero entries (row, column, value) of sigma_m (x) sigma_n, indexed [m][n]
+_PAULI_PRODUCTS = [
+    [[(2 * i + k, 2 * j + l, complex(a[i][j] * b[k][l]))
+      for i in range(2) for j in range(2) for k in range(2) for l in range(2) if a[i][j] * b[k][l] != 0]
+     for b in _PAULI]
+    for a in _PAULI
+]
+# the partial transpose on qubit 2 maps sigma_n to its transpose, -sigma_y for n = 2
+_TRANSPOSE_SIGN = (1, 1, -1, 1)
+
+
+class PairOracle:
+    """rho0 under c1 (x) c2 in mpmath, from the Bloch equations alone: death time and long-time limit.
+
+    Each coupling is normalized at working precision, so it is the one the
+    library's q = hypot(chi, u . v) describes. Its Bloch vector obeys
+    dr/dt = A r + b with A = 4 gamma (u u^T + v v^T - 1), symmetric, and
+    b = 8 gamma u x v; with A = Q diag(E) Q^T from mpmath.eigsy the qubit's
+    map on (1, r) is T(t) = [[1, 0], [c, M]], M = Q diag(e^{E t}) Q^T and
+    c = Q diag((e^{E t} - 1) / E) Q^T b. The Pauli correlations
+    R[m, n] = tr(rho sigma_m (x) sigma_n) evolve as R(t) = T1(t) R0 T2(t)^T.
+
+    Digits: 50, plus 32 gamma_max t_max / ln 10. Each qubit relaxes no faster
+    than e^{-4 gamma t} (E is -4 gamma and -2 gamma (1 -+ 2 q)), and an entry
+    of rho^Gamma is affine in each qubit's Bloch vector, so a term of the 4x4
+    determinant is at least ~e^{-32 gamma_max t} of its O(1) entries; a
+    double-flip Bell state's determinant is -7e-280 at gamma t = 40. With a
+    fixed 60 digits the end test of appc_x_state_tau misses such terms.
+    """
+
+    def __init__(self, rho0, c1: Coupling, c2: Coupling, t_max: float):
+        self.digits = 50 + math.ceil(32.0 * max(c1.gamma, c2.gamma) * t_max / math.log(10.0))
+        with mpmath.workdps(self.digits):
+            rho = [[mpmath.mpc(complex(x)) for x in row] for row in np.asarray(rho0)]
+            self.r0 = mpmath.matrix(4, 4)
+            for m in range(4):
+                for n in range(4):
+                    self.r0[m, n] = mpmath.re(mpmath.fsum(rho[j][i] * x for i, j, x in _PAULI_PRODUCTS[m][n]))
+            self.qubits = [self._bloch_generator(c) for c in (c1, c2)]
+
+    @staticmethod
+    def _bloch_generator(c: Coupling):
+        norm = mpmath.sqrt(mpmath.fsum(mpmath.mpf(float(x)) ** 2 for x in (*c.u, *c.v)))
+        u = [mpmath.mpf(float(x)) / norm for x in c.u]
+        v = [mpmath.mpf(float(x)) / norm for x in c.v]
+        gamma = mpmath.mpf(c.gamma)
+        a = mpmath.matrix(3, 3)
+        for i in range(3):
+            for j in range(3):
+                a[i, j] = 4 * gamma * (u[i] * u[j] + v[i] * v[j] - (1 if i == j else 0))
+        w = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        e, q = mpmath.eigsy(a)
+        return e, q, q.T * mpmath.matrix([8 * gamma * x for x in w]), gamma
+
+    @staticmethod
+    def _transfer(qubit, t) -> mpmath.matrix:
+        e, q, bq, gamma = qubit
+        if t == mpmath.inf:
+            # a mode slower than 1e-15 gamma, as on a coupling that classify calls
+            # flip (|u x v| <= FLIP_TOL gives a rate <= 8e-18 gamma), is held; b
+            # lies along u x v, the eigenvector of E = -4 gamma, so it has no
+            # component on a held mode
+            held = [abs(x) < mpmath.mpf("1e-15") * gamma for x in e]
+            decay = [int(h) for h in held]
+            growth = [0 if h else -1 / x for h, x in zip(held, e)]
+        else:
+            decay = [mpmath.exp(x * t) for x in e]
+            growth = [mpmath.expm1(x * t) / x if x != 0 else t for x in e]
+        m = q * mpmath.diag(decay) * q.T
+        c = q * mpmath.matrix([g * b for g, b in zip(growth, bq)])
+        out = mpmath.matrix(4, 4)
+        out[0, 0] = 1
+        for i in range(3):
+            out[i + 1, 0] = c[i]
+            for j in range(3):
+                out[i + 1, j + 1] = m[i, j]
+        return out
+
+    def _state(self, t, partial_transpose: bool) -> mpmath.matrix:
+        r = self._transfer(self.qubits[0], t) * self.r0 * self._transfer(self.qubits[1], t).T
+        out = mpmath.matrix(4, 4)
+        for m in range(4):
+            for n in range(4):
+                coefficient = r[m, n] * (_TRANSPOSE_SIGN[n] if partial_transpose else 1) / 4
+                for i, j, x in _PAULI_PRODUCTS[m][n]:
+                    out[i, j] += coefficient * mpmath.mpc(x)
+        return out
+
+    def pt_det(self, t):
+        """det(rho(t)^Gamma), negative exactly while the pair is entangled."""
+        with mpmath.workdps(self.digits):
+            return mpmath.re(mpmath.det(self._state(mpmath.mpf(t), True)))
+
+    def tau(self, lo: float, hi: float):
+        """The crossing in [lo, hi], bisected to 1e-13 on the sign of pt_det, or None if still entangled at hi.
+
+        Each end's sign must exceed 10^5 units of the working precision, else
+        AssertionError: the pair must be entangled at lo, and at hi either
+        side is accepted only when resolved.
+        """
+        with mpmath.workdps(self.digits):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            resolved = mpmath.mpf(10) ** (5 - self.digits)
+            at_lo, at_hi = self.pt_det(lo), self.pt_det(hi)
+            assert at_lo < -resolved and abs(at_hi) > resolved, (at_lo, at_hi)
+            if at_hi < 0:
+                return None
+            while hi - lo > 1e-13:
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if self.pt_det(mid) >= 0 else (mid, hi)
+            return (lo + hi) / 2
+
+    def lambda_inf(self):
+        """Wootters' lam of the limit state R(inf) = T1(inf) R0 T2(inf)^T: l1 - l2 - l3 - l4."""
+        with mpmath.workdps(self.digits):
+            rho = self._state(mpmath.inf, False)
+            flip = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+            values = mpmath.eig(rho * flip * rho.conjugate() * flip, left=False, right=False)
+            roots = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in values), reverse=True)
+            return roots[0] - roots[1] - roots[2] - roots[3]
 
 
 def choi_six_evolves(coupling: Coupling, t: float) -> np.ndarray:
@@ -161,6 +291,22 @@ def random_dissipative_coupling(
         u, v = uv_from_draws(rng.random((1, 5)))
         if float(np.linalg.norm(np.cross(u[0], v[0]))) > min_w:
             return Coupling(u=u[0], v=v[0], gamma=gamma)
+
+
+def random_coupling_at_w(rng: np.random.Generator, w_norm: float, gamma: float = 1.0) -> Coupling:
+    """A coupling with |u x v| = w_norm <= 1/2: u = a e1, v = b e2 with a^2 + b^2 = 1 and a b = w_norm, then a random phase.
+
+    The phase maps u + i v to e^{i phi} (u + i v), which keeps both u x v and
+    the normalization.
+    """
+    e1 = random_unit(rng)
+    e2 = random_unit(rng)
+    e2 = e2 - (e2 @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    a = math.sqrt(0.5 * (1.0 + math.sqrt(1.0 - 4.0 * w_norm * w_norm)))
+    u, v = a * e1, (w_norm / a) * e2
+    phi = 2.0 * math.pi * rng.random()
+    return Coupling(u=math.cos(phi) * u - math.sin(phi) * v, v=math.sin(phi) * u + math.cos(phi) * v, gamma=gamma)
 
 
 def random_coupling(rng: np.random.Generator, gamma: float = 1.0) -> Coupling:

@@ -151,7 +151,7 @@ def test_kraus_of_choi_decomposes_each_choi_matrix_once(monkeypatch):
         calls.append(1)
         return original(m)
 
-    # both names: the one choi calls, and the one linalg's helpers call
+    # both names: the one choi calls, and linalg's own, so a decomposition in a linalg helper counts too
     monkeypatch.setattr(qsde.choi, "herm_eig", counting)
     monkeypatch.setattr(qsde.linalg, "herm_eig", counting)
     for theta, t in ((-math.pi / 5, 0.5), (0.3, 1.2), (-math.pi / 4, 0.0)):
@@ -160,14 +160,10 @@ def test_kraus_of_choi_decomposes_each_choi_matrix_once(monkeypatch):
         assert len(calls) == 1
 
 
-def test_choi_dust_is_clipped_with_one_warning(caplog):
+def test_choi_dust_is_clipped():
     # trace 2 and tr_2 = 1, smallest eigenvalue -1e-10: dust, not an error
     dusty = np.diag([1.0 + 1e-10, -1e-10, 0.5, 0.5]).astype(complex)
-    with caplog.at_level("WARNING", logger="qsde.choi"):
-        kraus, _ = kraus_of_choi(dusty)
-    assert [r.getMessage() for r in caplog.records] == [
-        "clipping negative Choi eigenvalue -1.000e-10 to zero"
-    ]
+    kraus, _ = kraus_of_choi(dusty)
     assert kraus.shape == (3, 2, 2)
 
 

@@ -491,6 +491,13 @@ def test_evolve_rejects_unphysical_r0(capsys):
     assert "r0" in err
 
 
+@pytest.mark.parametrize("scale, code", [(0.5, 0), (2.0, 2)])
+def test_evolve_r0_tolerance_boundary(capsys, scale, code):
+    # |r0| = 1 + scale * 1e-9, against cmd_evolve's bound 1 + 1e-9
+    r0 = f"{1.0 + scale * 1e-9!r},0,0"
+    assert run_cli(["evolve", "--coupling", "appc:0.3", "--r0", r0, "--times", "1"], capsys)[0] == code
+
+
 # ---------------------------------------------------------------------------
 # bloch-export
 

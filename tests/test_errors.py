@@ -74,6 +74,23 @@ def test_each_input_check_raises_invalid_input_naming_its_field(call, field):
     assert str(error) == f"{field}: {error.message}"
 
 
+# (id, call, field): each input tolerance at its value (HERMITIAN_TOL, DENSITY_TRACE_TOL,
+# NORMALIZATION_TOL), which call(0.5) is within and call(2.0) past
+TOLERANCES = [
+    ("hermitian", lambda scale: check_state(_with(BELL, (0, 1), scale * 1e-10)), "rho0"),
+    ("trace", lambda scale: check_state(BELL * (1.0 + scale * 1e-10)), "rho0"),
+    ("normalization", lambda scale: Coupling(u=X * math.sqrt(1.0 + scale * 1e-12), v=NO_V), "coupling"),
+]
+
+
+@pytest.mark.parametrize("call, field", [t[1:] for t in TOLERANCES], ids=[t[0] for t in TOLERANCES])
+def test_each_input_tolerance_accepts_half_and_rejects_twice(call, field):
+    call(0.5)
+    with pytest.raises(InvalidInput) as info:
+        call(2.0)
+    assert info.value.field == field
+
+
 def test_qsde_error_has_four_subclasses():
     names = {cls.__name__ for cls in QsdeError.__subclasses__()}
     assert names == {"InvalidInput", "NotPSD", "NotEntangled", "GridTooCoarse"}

@@ -9,7 +9,6 @@ from qsde.linalg import (
     herm_eig,
     psd_factor,
     psd_spectrum,
-    sqrt_psd,
 )
 
 from helpers import random_hermitian
@@ -88,6 +87,12 @@ def test_psd_factor_rejects_indefinite():
         psd_factor(*herm_eig(np.diag([1.0, 1.0, 1.0, -1e-6]).astype(complex)))
 
 
+def sqrt_psd(m) -> np.ndarray:
+    """The Hermitian square root of a PSD matrix as pair.concurrence forms it: S V^dag from psd_factor."""
+    values, vectors = herm_eig(m)
+    return psd_factor(values, vectors) @ vectors.conj().T
+
+
 def test_sqrt_psd_identity_and_diagonal():
     assert np.allclose(sqrt_psd(np.eye(4, dtype=complex)), np.eye(4), atol=1e-12)
     root = sqrt_psd(np.diag([4.0, 9.0, 0.0, 1.0]).astype(complex))
@@ -144,14 +149,16 @@ def test_relative_floor_scales_with_the_largest_value():
 
 
 def test_value_just_above_the_abort_bound_is_clipped():
-    root = sqrt_psd(np.diag([1.0, 0.5, 0.0, 0.99 * PSD_ABORT_TOL]).astype(complex))
-    assert root[3, 3] == 0.0
-    assert np.array_equal(psd_spectrum(np.array([1.0, 0.99 * PSD_ABORT_TOL])), [1.0, 0.0])
+    for scale in (0.5, 0.99):
+        root = sqrt_psd(np.diag([1.0, 0.5, 0.0, scale * PSD_ABORT_TOL]).astype(complex))
+        assert root[3, 3] == 0.0
+        assert np.array_equal(psd_spectrum(np.array([1.0, scale * PSD_ABORT_TOL])), [1.0, 0.0])
 
 
 def test_value_just_below_the_abort_bound_raises():
-    m = np.diag([1.0, 0.5, 0.0, 1.01 * PSD_ABORT_TOL]).astype(complex)
-    with pytest.raises(NotPSD, match="below -1e-08"):
-        sqrt_psd(m)
-    with pytest.raises(NotPSD):
-        psd_factor(*herm_eig(m))
+    for scale in (1.01, 2.0):
+        m = np.diag([1.0, 0.5, 0.0, scale * PSD_ABORT_TOL]).astype(complex)
+        with pytest.raises(NotPSD, match="below -1e-08"):
+            psd_spectrum(herm_eig(m)[0])
+        with pytest.raises(NotPSD):
+            psd_factor(*herm_eig(m))

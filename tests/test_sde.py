@@ -19,12 +19,14 @@ from qsde.errors import GridTooCoarse, InvalidInput, NotEntangled
 from qsde.linalg import RELATIVE_SPECTRAL_ZERO, dot_sigma
 
 from helpers import (
+    PairOracle,
     appc_x_state_tau,
     axis_frame,
     load_perfbench,
     oracle_rk4,
     random_bloch,
     random_coupling,
+    random_coupling_at_w,
     random_dissipative_coupling,
     random_flip_coupling,
     random_hs_state,
@@ -287,6 +289,71 @@ def test_sde_check_tau_on_an_ill_conditioned_crossing_near_amplitude_damping():
     c = family_appc(theta)
     tau = sde_check(initial_state("plus", 0.5), c, c).tau
     assert abs(tau - appc_x_state_tau(theta, theta, "plus", 0.5, 1.0, 10.0)) <= oracles.TAU_CLOSED_FORM_TOL
+
+
+def _hilbert_schmidt_draw(rng: np.random.Generator, pairing: str, surface: str | None):
+    """An entangled Hilbert-Schmidt state of rank 1-4 and two couplings, of rates in [0.5, 2], for pairing.
+
+    A dissipative coupling is generic (|w| > 1e-2, surface None) or lies 1e-6
+    to 1e-2 off the "flip" or the "ad" (amplitude-damping) surface: the first
+    one as surface says, a second one as rng picks.
+    """
+    while True:
+        rho0 = random_hs_state(rng, rank=int(rng.integers(1, 5)))
+        if pt_min(rho0) < -1e-3:
+            break
+    couplings = []
+    for side, gamma in enumerate(rng.uniform(0.5, 2.0, size=2)):
+        if pairing == "flip/flip" or (pairing == "mixed" and side == 0):
+            couplings.append(random_flip_coupling(rng, gamma))
+            continue
+        near = surface if side == 0 or pairing == "mixed" else (None, "flip", "ad")[int(rng.integers(3))]
+        distance = 10.0 ** rng.uniform(-6.0, -2.0)
+        couplings.append(random_dissipative_coupling(rng, gamma) if near is None
+                         else random_coupling_at_w(rng, distance if near == "flip" else 0.5 - distance, gamma))
+    if pairing == "mixed" and rng.random() < 0.5:
+        couplings.reverse()
+    return rho0, *couplings
+
+
+@pytest.mark.parametrize("pairing", ["flip/flip", "diss/diss", "mixed"])
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), surface=st.sampled_from((None, "flip", "ad")))
+def test_sde_check_matches_the_pair_oracle_on_hilbert_schmidt_states(pairing, seed, surface):
+    # the oracle bisects within the library's own grid cell, which it checks
+    # brackets a crossing; with no tau it checks the pair is still entangled
+    # at the grid's end, unless lambda_inf lets mu stay under the witness floor
+    rho0, c1, c2 = _hilbert_schmidt_draw(np.random.default_rng(seed), pairing, surface)
+    grid = default_grid(min(c1.gamma, c2.gamma))
+    try:
+        verdict = sde_check(rho0, c1, c2)
+    except GridTooCoarse:
+        assert PairOracle(rho0, c1, c2, grid[-1]).tau(0.0, grid[-1]) is None
+        return
+    if verdict.tau is None:
+        oracle = PairOracle(rho0, c1, c2, grid[-1])
+        assert oracle.tau(0.0, grid[-1]) is None or verdict.lambda_inf >= -CROSSING_FLOOR
+    else:
+        k = int(np.searchsorted(grid, verdict.tau))
+        oracle = PairOracle(rho0, c1, c2, grid[k])
+        want = oracle.tau(grid[k - 1], grid[k])
+        assert want is not None
+        assert abs(verdict.tau - want) <= oracles.TAU_CLOSED_FORM_TOL
+    assert abs(verdict.lambda_inf - oracle.lambda_inf()) <= oracles.LAMBDA_INF_TOL
+
+
+def test_pair_oracle_scales_its_digits_with_the_horizon():
+    # the X-state oracle misses this crossing from a horizon of 40, and the
+    # double-flip Bell state never dies: its determinant is -7e-280 there
+    c = family_appc(-math.pi / 4)
+    oracle = PairOracle(initial_state("plus", 0.7), c, c, 40.0)
+    assert appc_x_state_tau(-math.pi / 4, -math.pi / 4, "plus", 0.7, 1.0, 40.0) is None
+    assert abs(oracle.tau(0.0, 40.0) - appc_x_state_tau(-math.pi / 4, -math.pi / 4, "plus", 0.7, 1.0, 10.0)) <= 1e-12
+    z = flip_coupling(Z)
+    assert PairOracle(BELL, z, z, 40.0).tau(0.0, 40.0) is None
+    verdict = sde_check(BELL, z, z)
+    assert (verdict.predicted, verdict.tau) == ("no", None)
+    assert abs(verdict.lambda_inf - PairOracle(BELL, z, z, 10.0).lambda_inf()) <= oracles.LAMBDA_INF_TOL
 
 
 def test_detect_tau_none_below_threshold_weight():
