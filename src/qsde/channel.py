@@ -175,8 +175,6 @@ def evolve_flip(r0, u_hat, gamma: float, t: float) -> np.ndarray:
     the u_hat component is conserved, the rest decays at rate 4 gamma.
     """
     t = float(t)  # a Python float overflows to inf without a numpy warning
-    r0 = np.asarray(r0, dtype=float)
-    u_hat = np.asarray(u_hat, dtype=float)
     parallel = (r0 @ u_hat)[..., None] * u_hat
     return parallel + math.exp(-4.0 * gamma * t) * (r0 - parallel)
 
@@ -205,7 +203,6 @@ def evolve_dissipative(r0, dis: Dissipative, gamma: float, t: float) -> np.ndarr
     exponentials are taken once, however many rows r0 has.
     """
     t = float(t)  # a Python float overflows to inf without a numpy warning
-    r0 = np.asarray(r0, dtype=float)
     u, v, w = dis.u, dis.v, dis.w
     wn2 = float(w @ w)
     f0 = (r0 @ dis.v_cross_w) / wn2
@@ -254,7 +251,6 @@ def asymptote(coupling: Coupling, r0) -> np.ndarray:
     """
     cls = classify(coupling)
     if isinstance(cls, Flip):
-        r0 = np.asarray(r0, dtype=float)
         return float(r0 @ cls.u_hat) * cls.u_hat
     return 2.0 * cls.w
 

@@ -45,7 +45,7 @@ def _fmt(x: float) -> str:
 
 
 def _complex_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 # ---------------------------------------------------------------------------

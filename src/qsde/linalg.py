@@ -32,8 +32,7 @@ _PAULI_ROWS = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=com
 
 
 def dot_sigma(r) -> np.ndarray:
-    """Return r . sigma, exact, for a real 3-vector r or for each row of an (n, 3) stack."""
-    r = np.asarray(r, dtype=float)
+    """Return r . sigma, exact, for a float 3-vector r or for each row of an (n, 3) float stack."""
     return (r @ _PAULI_ROWS).reshape(r.shape[:-1] + (2, 2))
 
 

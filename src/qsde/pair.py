@@ -7,7 +7,6 @@ factor and spin-up identified with |0>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +28,6 @@ DEFAULT_GRID_SPAN = 10.0
 DEFAULT_GRID_POINTS = 400
 
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y)
-
-
-@dataclass(frozen=True, eq=False)
-class ConcurrenceResult:
-    """Concurrence C = max(0, lam) and lam = l_1 - l_2 - l_3 - l_4 over the spin-flip roots."""
-
-    lam: float
-    concurrence: float
 
 
 def initial_state(kind: str, alpha_sq: float) -> np.ndarray:
@@ -87,7 +78,7 @@ def check_state(rho) -> np.ndarray:
 
 
 def evolve_pair(rho0, kraus1, kraus2) -> np.ndarray:
-    """Evolve a two-qubit state by independent local Kraus sets, (r, 2, 2) stacks or lists of 2x2s.
+    """Evolve a complex 4x4 two-qubit state by independent local Kraus sets, each an (r, 2, 2) stack.
 
     rho(t) = sum_{ij} (K_i (x) K_j) rho0 (K_i (x) K_j)^dag. Every K_i (x) K_j
     is formed at once, by np.kron's products, as one (r1 r2, 4, 4) stack,
@@ -96,20 +87,17 @@ def evolve_pair(rho0, kraus1, kraus2) -> np.ndarray:
     (it sums pairwise only along a contiguous last axis), so the state is
     that of a double loop over the pairs, bit for bit.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    k1 = np.asarray(kraus1, dtype=complex)
-    k2 = np.asarray(kraus2, dtype=complex)
-    k = (k1[:, None, :, None, :, None] * k2[None, :, None, :, None, :]).reshape(-1, 4, 4)
+    k = (kraus1[:, None, :, None, :, None] * kraus2[None, :, None, :, None, :]).reshape(-1, 4, 4)
     return np.add.reduce(k @ rho0 @ k.conj().transpose(0, 2, 1), axis=0, initial=0j)
 
 
-def concurrence(rho) -> ConcurrenceResult:
-    """Concurrence of a two-qubit density matrix.
+def concurrence(rho) -> float:
+    """lam of a complex 4x4 two-qubit density matrix, whose concurrence is max(0, lam).
 
     The roots l_1 >= ... >= l_4 are the square roots of the eigenvalues of
     rho (sy (x) sy) rho* (sy (x) sy), obtained from the Hermitian-similar
     matrix sqrt(rho) (sy (x) sy) rho* (sy (x) sy) sqrt(rho), and
-    lam = l_1 - l_2 - l_3 - l_4 with C = max(0, lam).
+    lam = l_1 - l_2 - l_3 - l_4.
 
     Both spectra go through linalg.psd_spectrum, whose relative snap keeps
     eigensolver noise from surfacing as sqrt(eps)-sized roots on low-rank
@@ -118,14 +106,12 @@ def concurrence(rho) -> ConcurrenceResult:
     double amplitude damping it drifts from its closed form by up to
     4.8e-8), so the death-time scan reads the sign of pt_min instead.
     """
-    rho = np.asarray(rho, dtype=complex)
     values, vectors = herm_eig(rho)
     root = psd_factor(values, vectors) @ vectors.conj().T
     flipped = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     similar = root @ flipped @ root
     roots = np.sqrt(psd_spectrum(herm_eig(0.5 * (similar + similar.conj().T))[0]))
-    lam = float(roots[0] - roots[1] - roots[2] - roots[3])
-    return ConcurrenceResult(lam=lam, concurrence=max(0.0, lam))
+    return float(roots[0] - roots[1] - roots[2] - roots[3])
 
 
 def state_at(rho0, c1: Coupling, c2: Coupling, t: float) -> np.ndarray:
@@ -137,7 +123,7 @@ def state_at(rho0, c1: Coupling, c2: Coupling, t: float) -> np.ndarray:
 
 def lambda_at(rho0, c1: Coupling, c2: Coupling, t: float) -> float:
     """lam of the pair state at time t."""
-    return concurrence(state_at(rho0, c1, c2, t)).lam
+    return concurrence(state_at(rho0, c1, c2, t))
 
 
 def _partial_transpose(rho) -> np.ndarray:
@@ -189,7 +175,6 @@ def check_grid(grid) -> np.ndarray:
 
 def lambda_trajectory(rho0, c1: Coupling, c2: Coupling, grid) -> list[tuple[float, float, float]]:
     """(t, lam, concurrence) records along a grid that passes check_grid."""
-    rho0 = np.asarray(rho0, dtype=complex)
     records = []
     for t in check_grid(grid):
         lam = lambda_at(rho0, c1, c2, t)

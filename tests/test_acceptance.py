@@ -294,9 +294,9 @@ def test_c09_concurrence_units_and_monotonicity():
     product = concurrence(np.diag([1.0, 0, 0, 0]).astype(complex))
     mixed = concurrence(np.eye(4, dtype=complex) / 4.0)
     units_ok = (
-        abs(bell.concurrence - 1.0) <= 1e-12
-        and product.concurrence == 0.0
-        and abs(mixed.lam + 0.5) <= 1e-12
+        abs(bell - 1.0) <= 1e-12
+        and product <= 0.0
+        and abs(mixed + 0.5) <= 1e-12
     )
 
     rng = np.random.default_rng(20250109)

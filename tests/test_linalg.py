@@ -43,7 +43,7 @@ def test_identity_eigensystem():
 
 
 def test_zz_eigenvalues_descending():
-    sigma_z = dot_sigma((0.0, 0.0, 1.0))
+    sigma_z = dot_sigma(np.array([0.0, 0.0, 1.0]))
     vals, _ = herm_eig(np.kron(sigma_z, sigma_z))
     assert np.allclose(vals, [1.0, 1.0, -1.0, -1.0], atol=1e-15)
 
